@@ -15,6 +15,7 @@ package replicatree_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -189,27 +190,73 @@ func BenchmarkCompressedMergeSteadyState(b *testing.B) {
 }
 
 // BenchmarkParallelDPSteadyState is the wave-parallel counterpart of
-// BenchmarkMinCostSolverReuse: full table rebuilds through a solver
-// whose bottom-up pass fans across a persistent worker pool. Steady
-// state must stay allocation-free — the pool parks on pre-allocated
-// channels and each worker owns a retained arena — and the CI zero-alloc
-// gate enforces it.
+// the *SolverReuse benchmarks: full table rebuilds through solvers
+// whose bottom-up pass fans across a persistent pool of 4 workers, for
+// each of the three DPs. Steady state must stay allocation-free — the
+// pool parks on pre-allocated channels, each worker owns a retained
+// arena, and the driver grows every worker's arena to the largest node
+// any worker drew — and the CI zero-alloc gate enforces it.
 func BenchmarkParallelDPSteadyState(b *testing.B) {
-	t := scaleTree(b, 10_000)
-	solver := core.NewMinCostSolver(t)
-	solver.SetWorkers(4)
-	dst := tree.ReplicasOf(t)
-	for warm := 0; warm < 2; warm++ {
-		if _, err := solver.SolveInto(nil, scaleW, cost.Simple{}, dst); err != nil {
-			b.Fatal(err)
+	const workers, warm = 4, 3
+	steady := func(b *testing.B, solve func() error) {
+		for i := 0; i < warm; i++ {
+			if err := solve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := solve(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		solver.Invalidate()
-		if _, err := solver.SolveInto(nil, scaleW, cost.Simple{}, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
+
+	b.Run("mincost", func(b *testing.B) {
+		t := scaleTree(b, 10_000)
+		solver := core.NewMinCostSolver(t)
+		solver.SetWorkers(workers)
+		defer solver.SetWorkers(1)
+		dst := tree.ReplicasOf(t)
+		steady(b, func() error {
+			solver.Invalidate()
+			_, err := solver.SolveInto(nil, scaleW, cost.Simple{}, dst)
+			return err
+		})
+	})
+
+	b.Run("qos", func(b *testing.B) {
+		t := tree.MustGenerate(tree.FatConfig(300), replicatree.NewRNG(exper.DefaultSeed))
+		cons := tree.NewConstraints(t)
+		cons.SetUniformQoS(t, 4)
+		solver := core.NewQoSSolver(t)
+		solver.SetWorkers(workers)
+		defer solver.SetWorkers(1)
+		dst := tree.ReplicasOf(t)
+		steady(b, func() error {
+			solver.Invalidate()
+			_, err := solver.Solve(10, cons, dst)
+			return err
+		})
+	})
+
+	b.Run("power", func(b *testing.B) {
+		src := replicatree.NewRNG(4)
+		t := tree.MustGenerate(tree.PowerConfig(50), src)
+		existing, _ := tree.RandomReplicas(t, 5, 2, src)
+		dp := core.NewPowerDP(t)
+		dp.SetWorkers(workers)
+		defer dp.SetWorkers(1)
+		prob := core.PowerProblem{Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()}
+		dst := tree.ReplicasOf(t)
+		steady(b, func() error {
+			dp.Invalidate()
+			solver, err := dp.Solve(prob)
+			if err == nil {
+				solver.BestInto(math.Inf(1), dst)
+			}
+			return err
+		})
+	})
 }

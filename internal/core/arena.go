@@ -28,11 +28,16 @@ type arena[T any] struct {
 // reset recycles the buffer for a new solve, first growing it to the
 // previous solve's high-water mark.
 func (a *arena[T]) reset() {
-	if a.need > len(a.buf) {
-		a.buf = make([]T, a.need)
-	}
+	a.reserve(a.need)
 	a.off = 0
 	a.need = 0
+}
+
+// reserve grows the backing buffer to at least n elements.
+func (a *arena[T]) reserve(n int) {
+	if n > len(a.buf) {
+		a.buf = make([]T, n)
+	}
 }
 
 // alloc returns a scratch slice of length n with unspecified contents:

@@ -211,6 +211,37 @@ type bpScratch struct {
 	colRuns    []bpRun
 }
 
+// cover grows every buffer of sc to at least the capacity of o's
+// counterpart. The contents are scratch, so a replaced buffer starts
+// empty.
+func (sc *bpScratch) cover(o *bpScratch) {
+	for i, p := range sc.runBufs() {
+		fitCap(p, *o.runBufs()[i])
+	}
+	fitCap(&sc.accOff, o.accOff)
+	fitCap(&sc.modeStarts, o.modeStarts)
+	fitCap(&sc.cols, o.cols)
+	if len(sc.rows) < len(o.rows) {
+		sc.rows = grownKeep(sc.rows, len(o.rows))
+	}
+	for r := range o.rows {
+		fitCap(&sc.rows[r], o.rows[r])
+	}
+}
+
+// runBufs lists the flat run buffers of sc.
+func (sc *bpScratch) runBufs() [8]*[]bpRun {
+	return [8]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp, &sc.accRuns, &sc.colRuns}
+}
+
+// fitCap replaces *dst with an empty buffer of src's capacity when its
+// own is smaller.
+func fitCap[T any](dst *[]T, src []T) {
+	if cap(*dst) < cap(src) {
+		*dst = make([]T, 0, cap(src))
+	}
+}
+
 // bpConv computes the min-plus convolution of two monotone rows:
 // out[k] = min{a[i]+b[j] : i+j == k, a[i]+b[j] <= maxSum} for
 // k <= maxStart. maxStart must not exceed the natural reach

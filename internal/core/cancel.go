@@ -3,12 +3,13 @@ package core
 import "context"
 
 // This file holds the cooperative-cancellation machinery shared by the
-// three solvers. Each solver owns a cancelGate installed via its
-// SetContext method; the bottom-up passes poll it at coarse checkpoints
-// — between height waves on the parallel path, every cancelStride node
-// tables on the sequential one, and between merge fold steps / scan
-// blocks at the power root — so a cancellation is observed within one
-// checkpoint's worth of work, never mid-table.
+// three solvers. Each solver's driver (dp.go) owns a cancelGate
+// installed via SetContext; the bottom-up passes poll it at coarse
+// checkpoints — between height waves on the parallel path, every
+// cancelStride node tables on the sequential one (every table for the
+// power DP), and between merge fold steps / scan blocks at the power
+// root — so a cancellation is observed within one checkpoint's worth of
+// work, never mid-table.
 //
 // Aborting between checkpoints leaves the solver repairable, the same
 // contract as a mid-tree solve error: nothing is committed (neither the
@@ -21,8 +22,8 @@ import "context"
 // tracker re-dirties every node of the newer generation on the next
 // solve.
 
-// cancelStride is how many sequential node solves run between two polls
-// of the cancellation gate. Coarse enough that the poll is invisible
+// cancelStride is how many sequential node solves of MinCost and QoS
+// run between two polls of the cancellation gate. Coarse enough that the poll is invisible
 // next to a table rebuild, fine enough that cancellation latency stays
 // bounded by a few dozen small tables.
 const cancelStride = 64

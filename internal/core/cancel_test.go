@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"replicatree/internal/cost"
+	"replicatree/internal/power"
 	"replicatree/internal/rng"
 	"replicatree/internal/tree"
 )
@@ -124,8 +127,18 @@ func TestMinCostCancelMidDriftRepairable(t *testing.T) {
 // TestPowerDPCancelRepairable aborts a PowerDP cold solve, a warm
 // drift solve, and a reprice-only solve (cost-model change hits the
 // root scan's block sweep, the third checkpoint family), checking the
-// front against an uninterrupted twin after every recovery.
+// front against an uninterrupted sequential twin after every recovery.
+// It runs sequentially and on the wave path, whose per-worker error
+// and cancellation plumbing it covers.
 func TestPowerDPCancelRepairable(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testPowerDPCancelRepairable(t, workers)
+		})
+	}
+}
+
+func testPowerDPCancelRepairable(t *testing.T, workers int) {
 	pm := powerModel2()
 	costs := []cost.Modal{
 		cost.UniformModal(2, 0.1, 0.01, 0.001),
@@ -142,6 +155,8 @@ func TestPowerDPCancelRepairable(t *testing.T) {
 	}
 
 	a, b := NewPowerDP(tr), NewPowerDP(tr)
+	a.SetWorkers(workers)
+	defer a.SetWorkers(1)
 
 	// Cold abort.
 	a.SetContext(cancelledCtx())
@@ -195,12 +210,23 @@ func TestPowerDPCancelRepairable(t *testing.T) {
 }
 
 // TestQoSCancelRepairable aborts QoSSolver solves cold and warm and
-// checks the recovered placements against an uninterrupted twin.
+// checks the recovered placements against an uninterrupted sequential
+// twin, on the sequential and the wave path.
 func TestQoSCancelRepairable(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testQoSCancelRepairable(t, workers)
+		})
+	}
+}
+
+func testQoSCancelRepairable(t *testing.T, workers int) {
 	src := rng.New(44)
 	tr := tree.MustGenerate(tree.FatConfig(300), src)
 
 	a, b := NewQoSSolver(tr), NewQoSSolver(tr)
+	a.SetWorkers(workers)
+	defer a.SetWorkers(1)
 	dstA, dstB := tree.ReplicasOf(tr), tree.ReplicasOf(tr)
 
 	a.SetContext(cancelledCtx())
@@ -230,4 +256,50 @@ func TestQoSCancelRepairable(t *testing.T) {
 			t.Fatalf("step %d: repaired placement diverged from twin", step)
 		}
 	}
+}
+
+// TestPowerDPWaveErrorRepairable drives a table-size overflow through
+// the wave path: a wave worker's error must surface from Solve, and the
+// next solve with the previous, valid instance must rebuild every table
+// and match a sequential cold solve.
+func TestPowerDPWaveErrorRepairable(t *testing.T) {
+	src := rng.New(45)
+	tr := tree.MustGenerate(tree.PowerConfig(40), src)
+	existing, err := tree.RandomReplicas(tr, 6, 2, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := PowerProblem{Existing: existing, Power: powerModel2(), Cost: cost.UniformModal(2, 0.1, 0.01, 0.001)}
+	dp := NewPowerDP(tr)
+	dp.SetWorkers(4)
+	defer dp.SetWorkers(1)
+	if _, err := dp.Solve(good); err != nil {
+		t.Fatal(err)
+	}
+
+	// Twelve modes blow the count-vector tables past maxTableCells
+	// below the root, inside the waves.
+	caps := make([]int, 12)
+	for i := range caps {
+		caps[i] = i + 5
+	}
+	bad := good
+	bad.Power = power.MustNew(caps, 12.5, 3)
+	bad.Cost = cost.UniformModal(12, 0.1, 0.01, 0.001)
+	if _, err := dp.Solve(bad); err == nil || !strings.Contains(err.Error(), "DP table would need") {
+		t.Fatalf("overflowing solve returned %v, want the table-size error", err)
+	}
+
+	got, err := dp.Solve(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := dp.Stats(); st.Recomputed != tr.N() {
+		t.Fatalf("solve after a failed run recomputed %d of %d nodes", st.Recomputed, tr.N())
+	}
+	want, err := NewPowerDP(tr).Solve(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontsEqual(t, "after wave error", want, got)
 }

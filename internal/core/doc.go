@@ -25,10 +25,12 @@
 // that merges children one at a time, where the table entry for a given
 // "server budget" in a subtree records the minimal number of requests
 // forced to traverse the subtree's root (Lemma 1) — with two
-// implementation refinements documented in DESIGN.md: tables are bounded
-// by per-subtree counts rather than global ones, and solutions are
-// reconstructed from per-merge back-pointers instead of per-cell request
-// vectors.
+// implementation refinements. Tables are bounded by per-subtree counts
+// rather than global ones: a subtree with k candidate nodes holds at
+// most k servers, so the cells past k are unreachable and need no
+// storage. Solutions are reconstructed from per-merge back-pointers
+// instead of per-cell request vectors: one small decision per cell
+// replaces a vector as long as the subtree.
 //
 // # The monotone-row contract
 //

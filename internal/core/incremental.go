@@ -1,12 +1,11 @@
 package core
 
-import "replicatree/internal/tree"
-
-// This file holds the machinery shared by the incremental re-solve
-// paths of MinCostSolver, QoSSolver and PowerDP. The dynamic programs
-// are subtree-decomposable: the table of a node depends only on its own
-// client demands, its children's tables, and per-child attributes of
-// the instance (pre-existing membership/modes, link bandwidths). When a
+// This file holds the retained-buffer helpers and the statistics of
+// the incremental re-solve paths of MinCostSolver, QoSSolver and
+// PowerDP; the dirty tracking itself lives in the shared driver
+// (dp.go). The dynamic programs are subtree-decomposable: the table of
+// a node depends only on its own client demands, its children's
+// tables, and per-child attributes of the instance (pre-existing membership/modes, link bandwidths). When a
 // solve changes only a few of those inputs, every table outside the
 // ancestor chains of the changed nodes is still exact, so the solvers
 // keep all per-node tables in retained buffers across solves and
@@ -112,70 +111,4 @@ type mergeStats struct {
 	cells    int
 	rows     int
 	replayed int
-}
-
-// addTo folds the worker-local counters into st.
-func (m *mergeStats) addTo(st *SolveStats) {
-	st.MergeCellsScanned += m.cells
-	st.RowsCompressed += m.rows
-	st.FoldSuffixReplayed += m.replayed
-}
-
-// dirtyTracker decides, at the start of a solve, which nodes' cached
-// subtree tables are stale. Not safe for concurrent use (it lives
-// inside the solvers, which already are single-goroutine).
-type dirtyTracker struct {
-	solved bool
-	seen   []uint64 // demand generation folded into each node's table
-	dirty  []bool
-}
-
-// bind sizes the tracker for an n-node tree and forces the next solve
-// to be a full one.
-func (d *dirtyTracker) bind(n int) {
-	d.seen = grown(d.seen, n)
-	d.dirty = grown(d.dirty, n)
-	d.solved = false
-}
-
-// invalidate forces the next solve to recompute every table.
-func (d *dirtyTracker) invalidate() { d.solved = false }
-
-// mark seeds the dirty set from the demand generations (or everything,
-// when full is set or no valid solve exists yet).
-func (d *dirtyTracker) mark(t *tree.Tree, full bool) {
-	full = full || !d.solved
-	for j := 0; j < t.N(); j++ {
-		d.dirty[j] = full || t.DemandGen(j) != d.seen[j]
-	}
-}
-
-// markParent dirties the parent of j: the hook for per-child inputs
-// (membership, modes) that a node's own table does not depend on.
-func (d *dirtyTracker) markParent(t *tree.Tree, j int) {
-	if p := t.Parent(j); p >= 0 {
-		d.dirty[p] = true
-	}
-}
-
-// propagate pushes dirtiness up the ancestor chains. Walking the
-// post-order visits every child before its parent, so one pass
-// suffices.
-func (d *dirtyTracker) propagate(t *tree.Tree) {
-	for _, j := range t.PostOrder() {
-		if d.dirty[j] {
-			if p := t.Parent(j); p >= 0 {
-				d.dirty[p] = true
-			}
-		}
-	}
-}
-
-// commit records that every table now reflects the tree's current
-// demands. Call only after the recomputation pass succeeded.
-func (d *dirtyTracker) commit(t *tree.Tree) {
-	for j := 0; j < t.N(); j++ {
-		d.seen[j] = t.DemandGen(j)
-	}
-	d.solved = true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -103,7 +102,7 @@ type mcStep struct {
 //
 // A solver is not safe for concurrent use; run one per goroutine.
 type MinCostSolver struct {
-	t     *tree.Tree
+	dpDriver[int32]
 	empty *tree.Replicas // stands in for a nil existing set
 
 	// Per node, retained across solves: final table (vals), its
@@ -114,23 +113,6 @@ type MinCostSolver struct {
 	dimN  []int32
 	steps [][]mcStep
 
-	// Merge intermediates live in flat arenas, one per worker so the
-	// wave-parallel pass allocates without synchronisation. They are
-	// recycled per node (not per solve): intermediates never outlive
-	// the node whose merges produced them — the fold's final merge
-	// writes into the retained vals[j] — so each arena only needs to
-	// fit the largest single node, not the whole sweep, which is what
-	// keeps mega-tree solves in O(max node) scratch memory.
-	arenas []arena[int32]
-
-	// Wave-parallel scheduler (see SetWorkers and waveSched).
-	wave waveSched
-
-	// Compressed-merge scratch and merge-layer counters, one per
-	// worker like the arenas.
-	bps    []bpScratch
-	mstats []mergeStats
-
 	// Server-count cap for mega trees (see serverCap): table cells
 	// with more than capB new servers are provably never optimal, so
 	// the n dimension of every table is clamped to capB, turning the
@@ -139,12 +121,10 @@ type MinCostSolver struct {
 	lastCapB int32
 	escUB    []int32 // scratch for the greedy feasibility pass
 
-	// Incremental bookkeeping: which demands each cached table reflects,
-	// the previous solve's pre-existing membership, and its capacity.
-	track      dirtyTracker
-	lastHas    []bool
-	lastW      int32
-	recomputed int
+	// Incremental bookkeeping: the previous solve's pre-existing
+	// membership and capacity.
+	lastHas []bool
+	lastW   int32
 
 	// Fault-mask view (see SetMask): the mask read at the start of the
 	// current solve, the previous solve's view for staleness diffing,
@@ -154,15 +134,6 @@ type MinCostSolver struct {
 	lastDown  []bool
 	maskedCnt int
 
-	// fullSolve is set for the duration of one solve when every table
-	// must be rebuilt (W or capB changed, or no valid previous solve):
-	// partial fold replays are then disabled even at nodes whose
-	// children look clean.
-	fullSolve bool
-
-	// Cooperative cancellation (see SetContext and cancelGate).
-	cancel cancelGate
-
 	// Per solve:
 	existing  *tree.Replicas
 	w         int32
@@ -171,32 +142,10 @@ type MinCostSolver struct {
 
 // NewMinCostSolver returns a reusable solver for MinCost instances on t.
 func NewMinCostSolver(t *tree.Tree) *MinCostSolver {
-	s := &MinCostSolver{
-		arenas: make([]arena[int32], 1),
-		bps:    make([]bpScratch, 1),
-		mstats: make([]mergeStats, 1),
-	}
-	s.wave.workers = 1
+	s := &MinCostSolver{}
+	s.init(s.solveNode, s.changed, cancelStride)
 	s.Reset(t)
 	return s
-}
-
-// SetWorkers sets the number of workers for the bottom-up pass
-// (workers <= 0 selects runtime.GOMAXPROCS(0); 1, the default, runs
-// sequentially without goroutines). Each height wave of the tree is
-// fanned across the workers: a node's table depends only on its
-// children's retained tables, every child sits in a strictly lower
-// wave, and each dirty node is computed by exactly one worker into its
-// own per-node buffers — so results are bit-identical for every worker
-// count (see waveSched). Incremental solves keep their advantage: only
-// the dirty nodes of each wave are dispatched.
-func (s *MinCostSolver) SetWorkers(workers int) {
-	n := s.wave.setWorkers(workers, func(w, i int) {
-		s.solveNode(s.wave.dirtyIdx[i], w)
-	})
-	s.arenas = grownKeep(s.arenas, n)[:n]
-	s.bps = grownKeep(s.bps, n)[:n]
-	s.mstats = grownKeep(s.mstats, n)[:n]
 }
 
 // Reset rebinds the solver to tree t, keeping every retained buffer as
@@ -207,7 +156,6 @@ func (s *MinCostSolver) SetWorkers(workers int) {
 // full invalidation; see Invalidate for the cheaper flag-only form).
 func (s *MinCostSolver) Reset(t *tree.Tree) {
 	n := t.N()
-	s.t = t
 	if s.empty == nil || s.empty.N() != n {
 		s.empty = tree.NewReplicas(n)
 	}
@@ -221,7 +169,7 @@ func (s *MinCostSolver) Reset(t *tree.Tree) {
 	s.lastHas = grown(s.lastHas, n)
 	s.downNow = grown(s.downNow, n)
 	s.lastDown = grown(s.lastDown, n)
-	s.track.bind(n)
+	s.bind(t)
 }
 
 // SetMask points the solver at a fault-mask view consulted at the start
@@ -240,31 +188,19 @@ func (s *MinCostSolver) Reset(t *tree.Tree) {
 // is read once per solve; mutating it mid-solve is a race.
 func (s *MinCostSolver) SetMask(m tree.FaultMask) { s.mask = m }
 
-// Invalidate discards the validity of every cached subtree table,
-// forcing the next solve to recompute the whole tree. It is needed
-// only after out-of-band mutations the solver cannot observe (demand
-// edits through SetDemand/SetClientRequests and pre-existing set
-// changes are detected automatically).
-func (s *MinCostSolver) Invalidate() { s.track.invalidate() }
-
-// SetContext installs a context consulted by every following Solve at
-// coarse checkpoints — between height waves on the parallel path,
-// every cancelStride node tables on the sequential one. Once the
-// context is cancelled the in-flight solve stops within one checkpoint
-// and returns the context's error, with nothing committed: the solver
-// stays repairable, and the next Solve (under a live context) lands on
-// results byte-identical to a solve that was never interrupted. A nil
-// context — the default — disables the checkpoints entirely.
-func (s *MinCostSolver) SetContext(ctx context.Context) { s.cancel.set(ctx) }
-
 // Stats profiles the most recent completed solve: how many of the
-// tree's node tables it actually recomputed.
+// tree's node tables it actually recomputed (see SolveStats).
 func (s *MinCostSolver) Stats() SolveStats {
-	st := SolveStats{Nodes: s.t.N(), Recomputed: s.recomputed, MaskedNodes: s.maskedCnt}
-	for i := range s.mstats {
-		s.mstats[i].addTo(&st)
-	}
+	st := s.dpDriver.Stats()
+	st.MaskedNodes = s.maskedCnt
 	return st
+}
+
+// changed reports whether node j's pre-existing membership or fault
+// state moved since the last commit: its parent's merge reads both, its
+// own table neither.
+func (s *MinCostSolver) changed(j int) bool {
+	return s.lastHas[j] != s.existing.Has(j) || s.lastDown[j] != s.downNow[j]
 }
 
 // Solve runs the dynamic program and returns a freshly allocated
@@ -341,20 +277,9 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 
 	// Decide which cached tables survive: demands via generation
 	// stamps, the pre-existing set and the fault mask by content diff
-	// (each dirties the parent: a node's own table ignores both its own
-	// membership and its own up/down state), W and the cap (both reshape
-	// every table) by full invalidation. The cost model only prices the
-	// root scan below.
-	t0 := s.t
-	s.fullSolve = s.w != s.lastW || s.capB != s.lastCapB || !s.track.solved
-	s.track.mark(t0, s.fullSolve)
-	for j := 0; j < t0.N(); j++ {
-		if s.lastHas[j] != existing.Has(j) || s.lastDown[j] != s.downNow[j] {
-			s.track.markParent(t0, j)
-		}
-	}
-	s.track.propagate(t0)
-
+	// (see changed), W and the cap (both reshape every table) by full
+	// invalidation. The cost model only prices the root scan below.
+	s.markDirty(s.w != s.lastW || s.capB != s.lastCapB)
 	if err := s.run(); err != nil {
 		// Cancelled between checkpoints: the tables rebuilt so far are
 		// exact, and nothing below was committed, so the next solve
@@ -367,11 +292,11 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	// finds the instance infeasible, so commit before scanning.
 	s.lastW = s.w
 	s.lastCapB = s.capB
-	for j := 0; j < t0.N(); j++ {
+	for j := 0; j < t.N(); j++ {
 		s.lastHas[j] = existing.Has(j)
 		s.lastDown[j] = s.downNow[j]
 	}
-	s.track.commit(t0)
+	s.commit()
 
 	res, err := s.scanRoot(c)
 	s.existing, s.placement = nil, nil
@@ -381,102 +306,44 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	return res, nil
 }
 
-func (s *MinCostSolver) run() error {
-	for i := range s.mstats {
-		s.mstats[i] = mergeStats{}
-	}
-	var runErr error
-	if s.wave.workers > 1 {
-		var ok bool
-		s.recomputed, ok = s.wave.run(s.t, s.track.dirty, s.t.Waves(), s.cancel.done)
-		if !ok {
-			runErr = s.cancel.ctx.Err()
-		}
-	} else {
-		s.recomputed = 0
-		for _, j := range s.t.PostOrder() {
-			if !s.track.dirty[j] {
-				continue
-			}
-			if s.recomputed%cancelStride == 0 {
-				if err := s.cancel.err(); err != nil {
-					runErr = err
-					break
-				}
-			}
-			s.recomputed++
-			s.solveNode(j, 0)
-		}
-	}
-	// A per-node reset grows a buffer to the need of the node handled
-	// before it, so the growth owed to each arena's last node would
-	// otherwise be deferred into a later solve's first reset — a
-	// one-off allocation there (all-clean solves never reset, so it
-	// can land in a timed region). Flush it inside this solve instead.
-	for i := range s.arenas {
-		s.arenas[i].reset()
-	}
-	return runErr
-}
-
 // solveNode rebuilds node j's table from its children's (Algorithms 2
 // and 3) using worker w's arena and scratch.
 //
 // A dirty node need not re-run its whole child fold: when its own
 // demand is unchanged and the fold prefix up to the first stale child
-// (dirty, or with changed pre-existing membership) ran compressed last
-// time, the prefix's retained output snapshot is the exact accumulator
-// at that point, so only the fold suffix is re-merged. This is what
-// turns a one-child drift under a high-fanout node from an O(children)
-// re-fold into an O(suffix) one; the snapshots stay valid by induction
-// because any input change to a prefix step makes that step stale and
-// moves the restart point before it.
-func (s *MinCostSolver) solveNode(j, w int) {
+// ran compressed last time, the prefix's retained output snapshot is
+// the exact accumulator at that point, so only the fold suffix is
+// re-merged (see dpDriver.foldStart). This is what turns a one-child
+// drift under a high-fanout node from an O(children) re-fold into an
+// O(suffix) one.
+func (s *MinCostSolver) solveNode(j, w int) error {
 	ar, sc, ms := &s.arenas[w], &s.bps[w], &s.mstats[w]
 	kids := s.t.Children(j)
-	if len(kids) == 0 {
+	start := s.foldStart(j, w, kids, nil, true, func(q int) bool { return s.steps[j][q].comp })
+	var acc []int32
+	var accE, accN int32
+	switch {
+	case start < 0:
+		return nil
+	case len(kids) == 0:
 		// A leaf's final table is the single base cell (0,0) holding
 		// the requests of j's own clients (Algorithm 2).
 		s.vals[j] = grown(s.vals[j], 1)
 		s.vals[j][0] = int32(s.t.ClientSum(j))
-		s.dimE[j], s.dimN[j] = 0, 0
-		return
-	}
-	start := 0
-	if !s.fullSolve && s.t.DemandGen(j) == s.track.seen[j] {
-		start = len(kids)
-		for st, ch := range kids {
-			if s.track.dirty[ch] || s.lastHas[ch] != s.existing.Has(ch) || s.lastDown[ch] != s.downNow[ch] {
-				start = st
-				break
-			}
-		}
-		if start == len(kids) {
-			// Nothing this table depends on changed; it was dirtied
-			// spuriously. Keep it as is.
-			return
-		}
-		if start > 0 && !s.steps[j][start-1].comp {
-			start = 0 // no snapshot to restart from
-		}
-	}
-	ar.reset()
-	var acc []int32
-	var accE, accN int32
-	if start == 0 {
+	case start == 0:
 		acc = ar.alloc(1)
 		acc[0] = int32(s.t.ClientSum(j))
-	} else {
+	default:
 		prev := &s.steps[j][start-1]
 		accE, accN = prev.dimE, prev.dimN
 		acc = ar.alloc(int(accN) + 1)
 		decodeRuns32(prev.runs, acc, invalid)
-		ms.replayed += len(kids) - start
 	}
 	for st := start; st < len(kids); st++ {
 		acc, accE, accN = s.merge(j, st, kids[st], acc, accE, accN, st == len(kids)-1, ar, sc, ms)
 	}
 	s.dimE[j], s.dimN[j] = accE, accN
+	return nil
 }
 
 // merge combines the accumulated table of node j (dimensions accE×accN,

@@ -1,16 +1,13 @@
 package core
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"replicatree/internal/cost"
-	"replicatree/internal/par"
 	"replicatree/internal/power"
 	"replicatree/internal/tree"
 )
@@ -26,19 +23,6 @@ type PowerProblem struct {
 	Existing *tree.Replicas
 	Power    power.Model
 	Cost     cost.Modal
-	// Workers > 1 parallelises the large table merges across that many
-	// goroutines (0 or 1 = sequential). Results are identical either
-	// way: the parallel path resolves ties with the same deterministic
-	// provenance order the sequential scan produces. Leave it at 0
-	// when the caller already runs many solvers concurrently, as the
-	// experiment harness does; the parallel path also trades the
-	// sequential path's allocation-freeness for wall-clock.
-	//
-	// Workers is independent of the subtree-level parallelism selected
-	// with PowerDP.SetWorkers: when the wave scheduler is active it
-	// accelerates only the root fold and the root scan — non-root
-	// merges already run node-parallel and never nest a second fan-out.
-	Workers int
 }
 
 // PowerResult is one optimal placement with its exact cost and power.
@@ -65,7 +49,7 @@ type PowerSolver struct {
 	prob      PowerProblem
 	front     []frontEntry // ascending cost, strictly descending power
 	steps     [][]pStep    // reconstruction back-pointers per node
-	rootOrder []int        // root fold position -> child position (empty = natural)
+	rootOrder []int        // root fold position -> child position
 }
 
 type frontEntry struct {
@@ -76,8 +60,8 @@ type frontEntry struct {
 }
 
 // pUnreached marks table cells with no feasible solution. Valid entries
-// are at most W_M, so any value above wm is "unreached"; MaxInt32 makes
-// the parallel atomic-min loops branch-free.
+// are at most W_M, so any value above wm is "unreached"; MaxInt32 lets
+// every merge update be a single strict comparison.
 const pUnreached = int32(math.MaxInt32)
 
 // noProv marks cells whose provenance has not been written.
@@ -125,8 +109,8 @@ type pStep struct {
 //
 // The complexity matches Theorem 3: O(N^{2M+1}) without pre-existing
 // servers and O(N^{2M²+2M+1}) with them, in the worst case; per-subtree
-// dimension bounds make typical instances far cheaper, and large merges
-// run in parallel when Workers > 1.
+// dimension bounds make typical instances far cheaper. PowerDP.SetWorkers
+// fans the bottom-up pass across subtrees.
 //
 // The program is exact only under the closest access policy
 // (tree.PolicyClosest); see the package documentation for the relaxed
@@ -154,8 +138,8 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // Merge intermediates live in flat arenas and every node's final
 // table, shape and provenance in retained per-node buffers, all grown
 // monotonically to the high-water mark of past solves, so after two
-// warm-up solves of an instance shape every further sequential Solve
-// performs no heap allocation.
+// warm-up solves of an instance shape every further Solve performs no
+// heap allocation.
 //
 // The retained tables make solves incremental, mode-indexed shapes
 // included: demand edits through tree.Tree.SetDemand dirty the touched
@@ -166,21 +150,22 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // The cost model never invalidates tables — only the root scan prices
 // it — so sweeping cost models re-solves in O(root-table) time. Use
 // Invalidate after mutations the solver cannot observe, and Reset to
-// rebind the solver to another tree while keeping its buffers.
+// rebind the solver to another tree while keeping its buffers. A failed
+// or cancelled solve invalidates every table, so the next solve
+// recomputes from scratch.
 //
 // The PowerSolver a Solve returns aliases the solver's scratch: it is
 // invalidated by the next Solve (or Reset). A PowerDP is not safe for
 // concurrent use; run one per goroutine.
 type PowerDP struct {
-	t     *tree.Tree
+	dpDriver[int32]
 	empty *tree.Replicas
 
 	// Per-solve configuration.
-	prob    PowerProblem
-	M       int   // number of modes
-	nf      int   // number of vector fields, M + M²
-	wm      int32 // W_M
-	workers int
+	prob PowerProblem
+	M    int   // number of modes
+	nf   int   // number of vector fields, M + M²
+	wm   int32 // W_M
 
 	// Per node, retained across solves: final table, its shape, the
 	// per-merge provenance tables (steps[j] has one entry per child of
@@ -193,12 +178,9 @@ type PowerDP struct {
 	preCnt [][]int32
 
 	// Incremental bookkeeping.
-	track      dirtyTracker
-	lastMode   []uint8
-	lastPower  power.Model
-	fullSolve  bool // this solve rebuilds every table (set per Solve)
-	noPre      bool // no pre-existing servers: compressed merges allowed
-	recomputed int
+	lastMode  []uint8
+	lastPower power.Model
+	noPre     bool // no pre-existing servers: compressed merges allowed
 
 	// Root-scan state (minpower_root.go): retained partial root merges,
 	// the previous solve's final root table and per-block Pareto fronts
@@ -219,62 +201,33 @@ type PowerDP struct {
 	scanPre        []int
 	rootScanned    int
 	rootRepriced   int
-
-	// Merge intermediates, one arena per wave worker (arenas[0] also
-	// serves the sequential path and the root fold). Arenas reset per
-	// node — intermediates never outlive a node's computation, the
-	// final merge writes into the retained vals[j] — so each arena
-	// sizes to the largest single node, not a whole solve.
-	arenas   []arena[int32]
-	bps      []bpScratch  // compressed-merge scratch, parallel to arenas
-	mstats   []mergeStats // per-worker merge counters, parallel to arenas
-	wave     waveSched
-	waveErrs []error // first error per wave worker
+	// Scan walker scratch: cell coordinates and the per-field prefix
+	// sums of the cost/power dot products (cs[f+1] folds fields 0..f).
+	coords []int32
+	cs, ps []float64
 
 	// Volatility-ordered root fold (minpower_root.go): how often each
 	// root child's subtree was observed changed since the last Reset,
 	// the fold order derived from those counts, and how many fold steps
 	// the last solve reused.
 	volCount     []int64
-	rootOrder    []int // fold position -> child position (empty = natural)
+	rootOrder    []int // fold position -> child position
 	rootRetained int
 
 	cands []frontEntry // root-scan candidates, high-water reused
 	front []frontEntry // pruned Pareto front, high-water reused
 	sol   PowerSolver
-
-	// Cooperative cancellation (see SetContext and cancelGate).
-	cancel cancelGate
 }
 
-// NewPowerDP returns a reusable power solver for t.
+// NewPowerDP returns a reusable power solver for t. Power tables are
+// expensive enough that a cancellation poll per node table is
+// invisible, which keeps cancellation latency at one table.
 func NewPowerDP(t *tree.Tree) *PowerDP {
-	d := &PowerDP{
-		arenas: make([]arena[int32], 1),
-		bps:    make([]bpScratch, 1),
-		mstats: make([]mergeStats, 1),
-	}
-	d.wave.workers = 1
+	d := &PowerDP{}
+	d.init(d.solveNode, d.changed, 1)
+	d.root = d.runRoot
 	d.Reset(t)
 	return d
-}
-
-// SetWorkers selects the worker count of the subtree-parallel bottom-up
-// pass (see waveSched): 1 — the default — keeps the sequential
-// post-order walk, <= 0 selects runtime.GOMAXPROCS(0). The root keeps
-// its sequential retained-prefix fold either way; only the non-root
-// waves fan out. Results are bit-identical for every worker count.
-func (d *PowerDP) SetWorkers(workers int) {
-	n := d.wave.setWorkers(workers, func(w, i int) {
-		j := d.wave.dirtyIdx[i]
-		if err := d.solveNode(j, w, false); err != nil && d.waveErrs[w] == nil {
-			d.waveErrs[w] = err
-		}
-	})
-	d.arenas = grownKeep(d.arenas, n)[:n]
-	d.bps = grownKeep(d.bps, n)[:n]
-	d.mstats = grownKeep(d.mstats, n)[:n]
-	d.waveErrs = grownKeep(d.waveErrs, n)[:n]
 }
 
 // Reset rebinds the solver to tree t, keeping every retained buffer as
@@ -284,7 +237,6 @@ func (d *PowerDP) SetWorkers(workers int) {
 // by an earlier Solve is invalidated.
 func (d *PowerDP) Reset(t *tree.Tree) {
 	n := t.N()
-	d.t = t
 	if d.empty == nil || d.empty.N() != n {
 		d.empty = tree.NewReplicas(n)
 	}
@@ -310,77 +262,45 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 	// values (a min-plus convolution over disjoint count coordinates),
 	// so only the provenance path differs — and reconstruction follows
 	// the same order via PowerSolver.rootOrder.
-	d.rootOrder = nil
-	if K > 1 && K == len(d.volCount) {
-		order := make([]int, K)
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return d.volCount[order[a]] < d.volCount[order[b]]
+	d.rootOrder = grown(d.rootOrder, K)
+	for i := range d.rootOrder {
+		d.rootOrder[i] = i
+	}
+	if K == len(d.volCount) { // the counts describe this root's children
+		slices.SortStableFunc(d.rootOrder, func(a, b int) int {
+			return cmp.Compare(d.volCount[a], d.volCount[b])
 		})
-		for i, st := range order {
-			if i != st {
-				d.rootOrder = order
-				break
-			}
-		}
 	}
 	d.volCount = grown(d.volCount, K)
 	for i := range d.volCount {
 		d.volCount[i] = 0
 	}
-
-	d.scanOK = false
-	d.track.bind(n)
+	d.bind(t)
 }
-
-// Invalidate discards the validity of every cached subtree table and
-// of the retained root-scan state, forcing the next solve to recompute
-// and re-price the whole tree like a cold solver. Demand edits through
-// SetDemand/SetClientRequests, pre-existing mode changes, power-model
-// swaps and cost-model changes are detected automatically and do not
-// need it.
-func (d *PowerDP) Invalidate() {
-	d.track.invalidate()
-	d.scanOK = false
-}
-
-// SetContext installs a context consulted by every following Solve at
-// coarse checkpoints: between height waves (or per node on the
-// sequential pass), between the merge fold steps of the root, and
-// between the blocks of the root scan. A cancelled context aborts the
-// in-flight solve within one checkpoint and returns the context's
-// error; like any mid-tree solve error the abort invalidates the
-// retained tables, so the next solve under a live context recomputes
-// from scratch and byte-matches a never-interrupted cold solve. A nil
-// context — the default — disables the checkpoints.
-func (d *PowerDP) SetContext(ctx context.Context) { d.cancel.set(ctx) }
 
 // Stats profiles the most recent completed solve: how many of the
 // tree's node tables it actually recomputed, and how much of the root
 // scan it had to re-price (see SolveStats).
 func (d *PowerDP) Stats() SolveStats {
-	st := SolveStats{
-		Nodes:             d.t.N(),
-		Recomputed:        d.recomputed,
-		RootCellsScanned:  d.rootScanned,
-		RootCellsRepriced: d.rootRepriced,
-		RootMergeRetained: d.rootRetained,
-	}
-	for i := range d.mstats {
-		d.mstats[i].addTo(&st)
-	}
+	st := d.dpDriver.Stats()
+	st.RootCellsScanned = d.rootScanned
+	st.RootCellsRepriced = d.rootRepriced
+	st.RootMergeRetained = d.rootRetained
 	return st
 }
 
-// retainShape copies a shape built from arena storage into node j's
-// retained shape buffers.
-func (d *PowerDP) retainShape(j int, sh shape) {
-	s := &d.shapes[j]
-	s.dims = append(s.dims[:0], sh.dims...)
-	s.strides = append(s.strides[:0], sh.strides...)
-	s.size = sh.size
+// changed reports whether the initial mode of node j moved since the
+// last commit: a node's own table never depends on its own mode, but
+// every ancestor's count vector does.
+func (d *PowerDP) changed(j int) bool { return d.lastMode[j] != d.prob.Existing.Mode(j) }
+
+// retainNode stores the outcome of node j's fold — its table shape
+// (copied out of arena storage) and its subtree counts — in the
+// node's retained buffers.
+func (d *PowerDP) retainNode(j int, sh shape, accNew int32, accPre []int32) {
+	d.shapes[j].assign(sh)
+	d.newCnt[j] = accNew
+	d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
 }
 
 // Solve runs the dynamic program for one problem instance on the
@@ -422,38 +342,24 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 	if m := p.Tree.MaxClientSum(); m > p.Power.MaxCap() {
 		return nil, fmt.Errorf("core: a node's clients demand %d > W_M=%d: %w", m, p.Power.MaxCap(), ErrInfeasible)
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
-	}
-
-	d.prob, d.M, d.nf, d.wm, d.workers = p, M, M+M*M, int32(p.Power.MaxCap()), workers
+	d.prob, d.M, d.nf, d.wm = p, M, M+M*M, int32(p.Power.MaxCap())
 	d.noPre = p.Existing.Count() == 0
 
-	// Demands dirty their ancestor chain; a changed initial mode of a
-	// pre-existing server dirties its parent's chain (a node's own
-	// table never depends on its own mode, but every ancestor's count
-	// vector does); a different power model reshapes every table. The
-	// cost model only prices the root scan below.
-	t0 := p.Tree
-	d.fullSolve = !p.Power.Equal(d.lastPower) || !d.track.solved
-	d.track.mark(t0, d.fullSolve)
-	for j := 0; j < t0.N(); j++ {
-		if d.lastMode[j] != p.Existing.Mode(j) {
-			d.track.markParent(t0, j)
-		}
+	// An invalidated solver (Reset, Invalidate, a failed solve) re-prices
+	// the root scan cold too.
+	if !d.solved {
+		d.scanOK = false
 	}
-	d.track.propagate(t0)
-
+	// Demands dirty their ancestor chain, a changed initial mode its
+	// parent's chain (see changed); a different power model reshapes
+	// every table. The cost model only prices the root scan below.
+	d.markDirty(!p.Power.Equal(d.lastPower))
 	if err := d.run(); err != nil {
-		// A mid-tree failure (table-size overflow) has already
-		// overwritten some retained tables for the failed instance;
-		// nothing was committed, so force the next solve to rebuild
-		// everything rather than mix instances.
-		d.track.invalidate()
+		// A mid-tree failure (table-size overflow, cancellation) has
+		// already overwritten some retained tables for the failed
+		// instance; nothing was committed, so force the next solve to
+		// rebuild everything rather than mix instances.
+		d.Invalidate()
 		return nil, err
 	}
 
@@ -466,10 +372,10 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 		Static: p.Power.Static,
 		Alpha:  p.Power.Alpha,
 	}
-	for j := 0; j < t0.N(); j++ {
+	for j := 0; j < p.Tree.N(); j++ {
 		d.lastMode[j] = p.Existing.Mode(j)
 	}
-	d.track.commit(t0)
+	d.commit()
 
 	if err := d.scanRoot(); err != nil {
 		// Cancelled mid-scan: the subtree tables above were committed
@@ -506,146 +412,48 @@ func (d *PowerDP) nodeDims(dims []int32, newCnt int32, preCnt []int32) {
 	}
 }
 
-func (d *PowerDP) run() error {
-	t := d.prob.Tree
-	d.recomputed = 0
-	d.rootRecomputed = false
-	for i := range d.mstats {
-		d.mstats[i] = mergeStats{}
-	}
-	root := t.Root()
-
-	if d.wave.workers > 1 {
-		// Every non-root node lies in waves 0..Waves()-2 — the root is
-		// provably the sole member of the last wave — so the scheduler
-		// covers exactly the generic nodes and the root's retained-prefix
-		// fold runs sequentially on the caller afterwards, where its big
-		// merges may still fan out via mergeParallel.
-		for w := range d.waveErrs {
-			d.waveErrs[w] = nil
-		}
-		var ok bool
-		d.recomputed, ok = d.wave.run(t, d.track.dirty, t.Waves()-1, d.cancel.done)
-		for _, err := range d.waveErrs {
-			if err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return d.cancel.ctx.Err()
-		}
-		// Flush the growth owed to each wave arena's last node into
-		// this solve (see MinCostSolver.run). arenas[0] needs no flush:
-		// runRoot resets it unconditionally on every solve.
-		for i := 1; i < len(d.arenas); i++ {
-			d.arenas[i].reset()
-		}
-		return d.runRoot()
-	}
-
-	for _, j := range t.PostOrder() {
-		if j == root {
-			// The root keeps its partial merges across solves so a
-			// single dirty child only re-runs the merge suffix from
-			// that child onward (minpower_root.go).
-			if err := d.runRoot(); err != nil {
-				return err
-			}
-			continue
-		}
-		if !d.track.dirty[j] {
-			continue
-		}
-		// Power tables are expensive enough that a per-node poll is
-		// invisible, and it keeps cancellation latency at one table.
-		if err := d.cancel.err(); err != nil {
-			return err
-		}
-		d.recomputed++
-		if err := d.solveNode(j, 0, true); err != nil {
-			return err
-		}
-	}
-	return nil
+// solveNode rebuilds the final table of non-root node j on worker w.
+func (d *PowerDP) solveNode(j, w int) error {
+	_, err := d.fold(j, w, false)
+	return err
 }
 
-// solveNode rebuilds the final table of non-root node j, drawing merge
-// intermediates from worker w's arena (reset here, per node). allowPar
-// gates mergeInto's within-merge fan-out: wave workers pass false so a
-// parallel sweep never nests a second one. When only a suffix of the
-// child fold is stale and the preceding step was merged compressed,
-// the fold restarts from its retained snapshot instead of from
-// scratch.
-func (d *PowerDP) solveNode(j, w int, allowPar bool) error {
-	t := d.prob.Tree
+// fold re-runs the child fold of dirty node j on worker w from its
+// first stale step (see dpDriver.foldStart) and returns that step, or
+// -1 when the retained table is still exact. The root (root == true)
+// folds its children in rootOrder and retains every partial merge in
+// rootSteps as a full table, so any step can restart it; elsewhere the
+// fold restarts mid-way only from a compressed step's snapshot, and
+// intermediates live in the worker's arena.
+func (d *PowerDP) fold(j, w int, root bool) (int, error) {
+	t := d.t
 	ar, sc, ms := &d.arenas[w], &d.bps[w], &d.mstats[w]
-	ar.reset()
 	kids := t.Children(j)
-	accNew := int32(0)
-	accPre := ar.alloc(d.M)
-	for i := range accPre {
-		accPre[i] = 0
+	order, snap := []int(nil), func(q int) bool { return d.steps[j][q].comp }
+	if root {
+		order, snap = d.rootOrder, nil
+	}
+	start := d.foldStart(j, w, kids, order, true, snap)
+	if start < 0 {
+		return start, nil
 	}
 
-	if len(kids) == 0 {
-		// A leaf's final table is the single base cell holding the
-		// requests of j's own clients.
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		accShape, err := fillShape(accDims, ar.alloc(d.nf))
-		if err != nil {
-			return err
-		}
-		d.vals[j] = grown(d.vals[j], 1)
-		d.vals[j][0] = int32(t.ClientSum(j))
-		d.retainShape(j, accShape)
-		d.newCnt[j] = accNew
-		d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
-		return nil
-	}
-
-	// First stale fold step: the node's own demand rewrites the base
-	// cell (step 0), a dirty child subtree or a flipped pre-existing
-	// mode invalidates its step and everything after. Restarting
-	// mid-fold needs the preceding step's compressed snapshot to
-	// re-seed the accumulated table.
-	start := 0
-	if !d.fullSolve && t.DemandGen(j) == d.track.seen[j] {
-		start = len(kids)
-		for st, ch := range kids {
-			if d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch) {
-				start = st
-				break
-			}
-		}
-		if start == len(kids) {
-			return nil // spurious dirty; the retained table is exact
-		}
-		if start > 0 && !d.steps[j][start-1].comp {
-			start = 0
-		}
-	}
-
+	// Accumulated state entering fold step start.
 	var acc []int32
 	var accShape shape
-	var err error
-	if start == 0 {
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		if accShape, err = fillShape(accDims, ar.alloc(d.nf)); err != nil {
-			return err
-		}
-		acc = ar.alloc(1)
-		acc[0] = int32(t.ClientSum(j))
+	accNew := int32(0)
+	accPre := ar.alloc(d.M)
+	if root && start > 0 {
+		rs := &d.rootSteps[start-1]
+		acc, accShape, accNew = rs.out, rs.shape, rs.accNew
+		copy(accPre, rs.accPre)
 	} else {
 		// Prefix-fold the already-merged children's counts (their
 		// subtrees and modes are unchanged, so the retained per-child
-		// counts still apply), then decode the snapshot of the last
-		// clean step into the accumulated table.
+		// counts still apply).
+		for i := range accPre {
+			accPre[i] = 0
+		}
 		for _, ch := range kids[:start] {
 			accNew += d.newCnt[ch]
 			for i := range accPre {
@@ -659,23 +467,57 @@ func (d *PowerDP) solveNode(j, w int, allowPar bool) error {
 		}
 		accDims := ar.alloc(d.nf)
 		d.nodeDims(accDims, accNew, accPre)
+		var err error
 		if accShape, err = fillShape(accDims, ar.alloc(d.nf)); err != nil {
-			return err
+			return start, err
 		}
-		acc = ar.alloc(accShape.size)
-		decodeStep(&d.steps[j][start-1], acc, d.M)
-		ms.replayed += len(kids) - start
-	}
-	for st := start; st < len(kids); st++ {
-		acc, accShape, err = d.merge(j, st, kids[st], acc, accShape, &accNew, accPre, st == len(kids)-1, ar, allowPar, sc, ms)
-		if err != nil {
-			return err
+		switch {
+		case len(kids) == 0:
+			// A leaf's final table is the single base cell holding the
+			// requests of j's own clients.
+			d.vals[j] = grown(d.vals[j], 1)
+			acc = d.vals[j]
+			acc[0] = int32(t.ClientSum(j))
+		case start == 0:
+			acc = ar.alloc(1)
+			acc[0] = int32(t.ClientSum(j))
+		default:
+			acc = ar.alloc(accShape.size)
+			decodeStep(&d.steps[j][start-1], acc, d.M)
 		}
 	}
-	d.retainShape(j, accShape)
-	d.newCnt[j] = accNew
-	d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
-	return nil
+
+	for q := start; q < len(kids); q++ {
+		st := q
+		var dst *[]int32 // nil: an arena intermediate
+		if q == len(kids)-1 {
+			dst = &d.vals[j]
+		}
+		if root {
+			// The root folds the largest merges of the tree, so poll the
+			// cancellation gate between fold steps.
+			if err := d.cancel.err(); err != nil {
+				return start, err
+			}
+			st = d.rootOrder[q]
+			if dst == nil {
+				dst = &d.rootSteps[q].out
+			}
+		}
+		var err error
+		if acc, accShape, err = d.merge(j, st, kids[st], acc, accShape, &accNew, accPre, dst, ar, sc, ms); err != nil {
+			return start, err
+		}
+		if root && q < len(kids)-1 {
+			// Retain this partial merge for future restarts.
+			rs := &d.rootSteps[q]
+			rs.shape.assign(accShape)
+			rs.accNew = accNew
+			rs.accPre = append(rs.accPre[:0], accPre...)
+		}
+	}
+	d.retainNode(j, accShape, accNew, accPre)
+	return start, nil
 }
 
 // childDims computes the accumulated subtree counts after folding child
@@ -699,21 +541,21 @@ func (d *PowerDP) childDims(ch int, accNew int32, accPre []int32, ar *arena[int3
 
 // merge folds child ch — the st-th child of j — into the accumulated
 // table of node j, updating the accumulated subtree counts in place.
-// The last merge writes straight into j's retained final table;
-// earlier ones use arena intermediates.
-func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int32, accPre []int32, last bool, ar *arena[int32], allowPar bool, sc *bpScratch, ms *mergeStats) ([]int32, shape, error) {
+// The merged table lands in *dst, grown to fit (a retained buffer), or
+// in an arena intermediate when dst is nil.
+func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int32, accPre []int32, dst *[]int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) ([]int32, shape, error) {
 	outNew, outPre, outShape, err := d.childDims(ch, *accNew, accPre, ar)
 	if err != nil {
 		return nil, shape{}, err
 	}
 	var out []int32
-	if last {
-		d.vals[j] = grown(d.vals[j], outShape.size)
-		out = d.vals[j]
+	if dst != nil {
+		*dst = grown(*dst, outShape.size)
+		out = *dst
 	} else {
 		out = ar.alloc(outShape.size)
 	}
-	d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, allowPar, sc, ms)
+	d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, sc, ms)
 	*accNew = outNew
 	copy(accPre, outPre)
 	return out, outShape, nil
@@ -721,8 +563,10 @@ func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int3
 
 // mergeInto runs the actual table merge of child ch — the st-th child
 // of j — into out (sized outShape.size), refreshing the step's
-// provenance table.
-func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape, out []int32, ar *arena[int32], allowPar bool, sc *bpScratch, ms *mergeStats) {
+// provenance table. The dense kernel's first writer of the minimal
+// value wins, which by scan order is the smallest (accumulated cell,
+// child cell) pair — the same order packProv encodes.
+func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape, out []int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) {
 	chShape := d.shapes[ch]
 	chVals := d.vals[ch]
 	chMode0 := int(d.prob.Existing.Mode(ch)) // 0 when ch is not pre-existing
@@ -759,21 +603,6 @@ func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape
 		}
 	}
 
-	// The merge work is |acc|·|child|·(M+1); go parallel only when it
-	// pays for the second provenance pass and the goroutine fan-out.
-	const parallelThreshold = 1 << 22
-	work := int64(accShape.size) * int64(chShape.size) * int64(d.M+1)
-	if allowPar && d.workers > 1 && work >= parallelThreshold {
-		d.mergeParallel(acc, accShape, chVals, chShape, outShape, out, prov, placeBump)
-	} else {
-		d.mergeSequential(acc, accShape, chVals, chShape, outShape, out, prov, placeBump, ar)
-	}
-}
-
-// mergeSequential is the single-goroutine merge: first writer of the
-// minimal value wins, which by scan order is the smallest (accumulated
-// cell, child cell) pair — the same order packProv encodes.
-func (d *PowerDP) mergeSequential(acc []int32, accShape shape, chVals []int32, chShape shape, outShape shape, out []int32, prov []uint64, placeBump []int32, ar *arena[int32]) {
 	pm := d.prob.Power
 	update := func(idx int32, v int32, p uint64) {
 		if v < out[idx] {
@@ -806,90 +635,6 @@ func (d *PowerDP) mergeSequential(acc []int32, accShape shape, chVals []int32, c
 			}
 		}
 		ao.next()
-	}
-}
-
-// mergeParallel splits the accumulated table across workers in two
-// phases: an atomic-min pass over the values, then an atomic-min pass
-// over the packed provenance of value-optimal transitions. Both minima
-// are order-free, so the result is identical to the sequential merge.
-func (d *PowerDP) mergeParallel(acc []int32, accShape shape, chVals []int32, chShape shape, outShape shape, out []int32, prov []uint64, placeBump []int32) {
-	pm := d.prob.Power
-	chunks := d.workers * 4
-	chunkSize := (accShape.size + chunks - 1) / chunks
-
-	scan := func(chunk int, visit func(base int32, aFlat, cFlat int, a, cv int32)) {
-		lo := chunk * chunkSize
-		hi := min(lo+chunkSize, accShape.size)
-		if lo >= hi {
-			return
-		}
-		ao := odometerAt(accShape.dims, outShape.strides, lo)
-		co := newOdometer(chShape.dims, outShape.strides)
-		for aFlat := lo; aFlat < hi; aFlat++ {
-			a := acc[aFlat]
-			if a <= d.wm {
-				co.reset()
-				for cFlat := 0; cFlat < chShape.size; cFlat++ {
-					cv := chVals[cFlat]
-					if cv <= d.wm {
-						visit(ao.out+co.out, aFlat, cFlat, a, cv)
-					}
-					co.next()
-				}
-			}
-			ao.next()
-		}
-	}
-
-	// Phase 1: minimal values.
-	par.ForEach(chunks, d.workers, func(chunk int) {
-		scan(chunk, func(base int32, aFlat, cFlat int, a, cv int32) {
-			if a+cv <= d.wm {
-				atomicMinInt32(&out[base], a+cv)
-			}
-			minMode, ok := pm.ModeFor(int(cv))
-			if ok {
-				for m := minMode; m <= d.M; m++ {
-					atomicMinInt32(&out[base+placeBump[m]], a)
-				}
-			}
-		})
-	})
-	// Phase 2: minimal provenance among value-optimal transitions.
-	par.ForEach(chunks, d.workers, func(chunk int) {
-		scan(chunk, func(base int32, aFlat, cFlat int, a, cv int32) {
-			if a+cv <= d.wm && out[base] == a+cv {
-				atomicMinUint64(&prov[base], packProv(aFlat, cFlat, 0))
-			}
-			minMode, ok := pm.ModeFor(int(cv))
-			if ok {
-				for m := minMode; m <= d.M; m++ {
-					idx := base + placeBump[m]
-					if out[idx] == a {
-						atomicMinUint64(&prov[idx], packProv(aFlat, cFlat, uint8(m)))
-					}
-				}
-			}
-		})
-	})
-}
-
-func atomicMinInt32(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v >= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-func atomicMinUint64(addr *uint64, v uint64) {
-	for {
-		cur := atomic.LoadUint64(addr)
-		if v >= cur || atomic.CompareAndSwapUint64(addr, cur, v) {
-			return
-		}
 	}
 }
 

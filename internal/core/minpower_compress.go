@@ -86,8 +86,7 @@ func encodeTableRows(tab []int32, rows int, rowLen int32, M int, off *[]int32, r
 }
 
 // mergeCompressed is the breakpoint-compressed counterpart of
-// mergeSequential/mergeParallel for merges without pre-existing
-// servers. It reads the dense acc and child tables, computes in
+// mergeInto's dense kernel for merges without pre-existing servers. It reads the dense acc and child tables, computes in
 // runs-space and decodes the dense output, so everything around the
 // merge (retained tables, the root fold, the root scan) is untouched.
 // Returns false — with out unwritten — when a row fails the monotone

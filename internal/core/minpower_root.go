@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"replicatree/internal/par"
 	"replicatree/internal/power"
 	"replicatree/internal/tree"
 )
@@ -33,14 +32,14 @@ import (
 // instead of the former O(M²) loop. The prefix sums are folded left to
 // right skipping zero coordinates, which makes every cell's price a
 // pure function of its coordinates — bit-identical whether the walk
-// entered the cell from the previous one or started cold at a shard
-// boundary, so fronts match exactly for every worker count.
+// entered the cell from the previous one or started cold at a block
+// boundary.
 //
-// The scan is sharded into fixed-size blocks of cells fanned across the
-// solver's workers. Each block keeps a retained, exactly-pruned local
-// Pareto front; the final front is the eps-aware prune of the
-// concatenated block fronts, which equals the prune of the full
-// candidate list because weak domination is transitive (a locally
+// The scan is sharded into fixed-size blocks of cells, walked in order
+// with a cancellation poll between blocks. Each block keeps a retained,
+// exactly-pruned local Pareto front; the final front is the eps-aware
+// prune of the concatenated block fronts, which equals the prune of the
+// full candidate list because weak domination is transitive (a locally
 // dominated candidate is dominated in the union too). Because a block
 // front is a pure function of the block's cell values and the pricing
 // context, re-solves diff each block of the recomputed root table
@@ -66,167 +65,38 @@ type rootStep struct {
 }
 
 // rootBlock is one shard of the root scan: a retained local Pareto
-// front plus the walker scratch of the goroutine that scans it.
+// front and whether the last scan re-priced it.
 type rootBlock struct {
 	front    []frontEntry
 	repriced bool
-	// Walker scratch: cell coordinates and the per-field prefix sums of
-	// the cost/power dot products (cs[f+1] folds fields 0..f).
-	coords []int32
-	cs, ps []float64
-}
-
-// foldPos returns the child position folded at root merge step q (the
-// volatility-derived permutation of Reset, or the natural order).
-func (d *PowerDP) foldPos(q int) int {
-	if len(d.rootOrder) > 0 {
-		return d.rootOrder[q]
-	}
-	return q
 }
 
 // runRoot recomputes the root's final table, restarting the merge fold
 // at the first fold step whose inputs changed and keeping every earlier
-// partial merge from the previous solve. The fold visits the children
-// in d.rootOrder (coldest subtree first, see Reset), so a churning
-// child invalidates only the tail of the fold; rootSteps and the stale
-// detection are indexed by fold position, the provenance steps by child
-// position.
+// partial merge from the previous solve (see PowerDP.fold). The fold
+// visits the children in d.rootOrder (coldest subtree first, see
+// Reset), so a churning child invalidates only the tail of the fold;
+// rootSteps and the stale detection are indexed by fold position, the
+// provenance steps by child position.
 func (d *PowerDP) runRoot() error {
-	t := d.prob.Tree
-	j := t.Root()
-	kids := t.Children(j)
-	K := len(kids)
-	d.rootRetained = 0
-	ar := &d.arenas[0]
-	ar.reset()
-
-	if K == 0 {
-		if !d.track.dirty[j] {
-			return nil
-		}
-		d.recomputed++
-		d.rootRecomputed = true
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		accShape, err := fillShape(accDims, ar.alloc(d.nf))
-		if err != nil {
-			return err
-		}
-		d.vals[j] = grown(d.vals[j], 1)
-		d.vals[j][0] = int32(t.ClientSum(j))
-		d.retainShape(j, accShape)
-		d.newCnt[j] = 0
-		d.preCnt[j] = grown(d.preCnt[j], d.M)
-		for i := range d.preCnt[j] {
-			d.preCnt[j][i] = 0
-		}
-		return nil
-	}
-
+	kids := d.t.Children(d.t.Root())
+	d.rootRecomputed = false
 	// Record which subtrees changed this solve; the counts drive the
 	// fold order picked by the next Reset.
 	for st, ch := range kids {
-		if d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch) {
+		if d.stale(ch) {
 			d.volCount[st]++
 		}
 	}
-
-	// First fold step whose retained output is stale: a change to the
-	// root's own clients rewrites the base cell (step 0), and a dirty
-	// child subtree or a changed pre-existing mode of a child
-	// invalidates its own step and everything after it.
-	start := 0
-	if !d.fullSolve && t.DemandGen(j) == d.track.seen[j] {
-		start = K
-		for q := 0; q < K; q++ {
-			ch := kids[d.foldPos(q)]
-			if d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch) {
-				start = q
-				break
-			}
-		}
-	}
-	if start >= K {
-		d.rootRetained = K
-		return nil // every retained root merge is still exact
+	start, err := d.fold(d.t.Root(), 0, true)
+	if start < 0 {
+		d.rootRetained = len(kids) // every retained root merge is still exact
+		return nil
 	}
 	d.rootRetained = start
-	if start > 0 {
-		d.mstats[0].replayed += K - start
-	}
 	d.recomputed++
 	d.rootRecomputed = true
-
-	// Accumulated state entering fold step start.
-	var acc []int32
-	var accShape shape
-	var accNew int32
-	accPre := ar.alloc(d.M)
-	if start == 0 {
-		acc = ar.alloc(1)
-		acc[0] = int32(t.ClientSum(j))
-		for i := range accPre {
-			accPre[i] = 0
-		}
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		var err error
-		accShape, err = fillShape(accDims, ar.alloc(d.nf))
-		if err != nil {
-			return err
-		}
-	} else {
-		rs := &d.rootSteps[start-1]
-		acc, accShape, accNew = rs.out, rs.shape, rs.accNew
-		copy(accPre, rs.accPre)
-	}
-
-	for q := start; q < K; q++ {
-		// The root folds the largest merges of the tree, so poll the
-		// cancellation gate between fold steps (one merge block).
-		if err := d.cancel.err(); err != nil {
-			return err
-		}
-		st := d.foldPos(q)
-		ch := kids[st]
-		outNew, outPre, outShape, err := d.childDims(ch, accNew, accPre, ar)
-		if err != nil {
-			return err
-		}
-		var out []int32
-		if q == K-1 {
-			d.vals[j] = grown(d.vals[j], outShape.size)
-			out = d.vals[j]
-		} else {
-			rs := &d.rootSteps[q]
-			rs.out = grown(rs.out, outShape.size)
-			out = rs.out
-		}
-		d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, true, &d.bps[0], &d.mstats[0])
-		if q < K-1 {
-			// Retain this partial merge for future restarts.
-			rs := &d.rootSteps[q]
-			rs.shape.dims = append(rs.shape.dims[:0], outShape.dims...)
-			rs.shape.strides = append(rs.shape.strides[:0], outShape.strides...)
-			rs.shape.size = outShape.size
-			rs.accNew = outNew
-			rs.accPre = append(rs.accPre[:0], outPre...)
-			acc, accShape = rs.out, rs.shape
-		} else {
-			acc, accShape = out, outShape
-		}
-		accNew = outNew
-		copy(accPre, outPre)
-	}
-	d.retainShape(j, accShape)
-	d.newCnt[j] = accNew
-	d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
-	return nil
+	return err
 }
 
 // fillWeights computes the per-field affine pricing weights of
@@ -296,21 +166,11 @@ func (d *PowerDP) scanRoot() error {
 	nb := (sh.size + rootBlockCells - 1) / rootBlockCells
 	d.blocks = grownKeep(d.blocks, nb)
 	blocks := d.blocks[:nb]
-	if d.workers > 1 && nb > 1 {
-		if !par.ForEachCancel(nb, d.workers, d.cancel.done, func(bi int) {
-			d.scanOneBlock(bi, vals, sh, rootMode0, canDiff)
-		}) {
-			return d.cancel.ctx.Err()
+	for bi := 0; bi < nb; bi++ {
+		if err := d.cancel.err(); err != nil {
+			return err
 		}
-	} else {
-		// The sequential path avoids the fan-out closure so warm solves
-		// stay allocation-free.
-		for bi := 0; bi < nb; bi++ {
-			if err := d.cancel.err(); err != nil {
-				return err
-			}
-			d.scanOneBlock(bi, vals, sh, rootMode0, canDiff)
-		}
+		d.scanOneBlock(bi, vals, sh, rootMode0, canDiff)
 	}
 
 	repriced := 0
@@ -376,10 +236,10 @@ func (d *PowerDP) scanOneBlock(bi int, vals []int32, sh shape, mode0 uint8, canD
 // and keeping the block's exact Pareto front in blk.front.
 func (d *PowerDP) scanBlock(blk *rootBlock, lo, hi int, vals []int32, sh shape, mode0 uint8) {
 	nf := d.nf
-	blk.coords = grown(blk.coords, nf)
-	blk.cs = grown(blk.cs, nf+1)
-	blk.ps = grown(blk.ps, nf+1)
-	coords, cs, ps := blk.coords, blk.cs, blk.ps
+	d.coords = grown(d.coords, nf)
+	d.cs = grown(d.cs, nf+1)
+	d.ps = grown(d.ps, nf+1)
+	coords, cs, ps := d.coords, d.cs, d.ps
 
 	// Position the walker at lo: decompose the flat index and fold the
 	// prefix sums left to right, skipping zero coordinates so the fold

@@ -77,10 +77,10 @@ func TestRootScanIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
-// TestRootScanParallelDeterministic pins the sharded scan: the front
-// and every reconstruction must be identical for any worker count, on
-// cold solves and on incremental re-solves alike (the short-suite race
-// run covers the goroutine fan-out).
+// TestRootScanParallelDeterministic pins the block-sharded scan behind
+// the wave-parallel pass: the front and every reconstruction must be
+// identical for any SetWorkers count, on cold solves and on incremental
+// re-solves alike (the short-suite race run covers the pool hand-offs).
 func TestRootScanParallelDeterministic(t *testing.T) {
 	pm := powerModel2()
 	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
@@ -93,16 +93,19 @@ func TestRootScanParallelDeterministic(t *testing.T) {
 
 	ref := NewPowerDP(tr)
 	dps := map[int]*PowerDP{2: NewPowerDP(tr), 8: NewPowerDP(tr)}
+	for workers, dp := range dps {
+		dp.SetWorkers(workers)
+	}
 	for step := 0; step < 4; step++ {
 		if step > 0 {
 			driftClients(tr, 2, src)
 		}
-		want, err := ref.Solve(PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: cm, Workers: 1})
+		want, err := ref.Solve(PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: cm})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for workers, dp := range dps {
-			got, err := dp.Solve(PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: cm, Workers: workers})
+			got, err := dp.Solve(PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: cm})
 			if err != nil {
 				t.Fatal(err)
 			}

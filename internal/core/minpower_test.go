@@ -413,3 +413,28 @@ func TestSolvePowerDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestPackProvRoundTrip(t *testing.T) {
+	cases := []struct {
+		a, c int
+		m    uint8
+	}{
+		{0, 0, 0},
+		{1, 2, 3},
+		{maxTableCells - 1, maxTableCells - 1, 255},
+		{12345, 678, 2},
+	}
+	for _, c := range cases {
+		a, cc, m := unpackProv(packProv(c.a, c.c, c.m))
+		if int(a) != c.a || int(cc) != c.c || m != c.m {
+			t.Fatalf("pack(%d,%d,%d) round-tripped to (%d,%d,%d)", c.a, c.c, c.m, a, cc, m)
+		}
+	}
+	// The packing preserves the sequential scan order.
+	if packProv(1, 0, 5) <= packProv(0, 99, 0) {
+		t.Fatal("accumulated cell must dominate the order")
+	}
+	if packProv(3, 1, 0) <= packProv(3, 0, 255) {
+		t.Fatal("child cell must dominate the mode")
+	}
+}

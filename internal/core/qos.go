@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"replicatree/internal/tree"
@@ -84,7 +83,7 @@ func MinReplicasQoS(t *tree.Tree, W int, c *tree.Constraints) (*tree.Replicas, e
 //
 // A solver is not safe for concurrent use; run one per goroutine.
 type QoSSolver struct {
-	t             *tree.Tree
+	dpDriver[int]
 	eng           *tree.Engine
 	unconstrained *tree.Constraints
 
@@ -93,41 +92,22 @@ type QoSSolver struct {
 	// width max(depth-1,0)+1), and — indexed by the CHILD's id — the
 	// flat split table of the merge that folded that child into its
 	// parent (rows of width depth(child), the parent's accumulator
-	// width).
+	// width), plus the compressed fold-step snapshots (likewise indexed
+	// by the child's id).
 	size    []int
 	tabs    [][]int
 	choices [][]uint8
 	splits  [][]int
-
-	// Knapsack-merge intermediates, one arena per worker, recycled per
-	// node (intermediates never outlive the node whose merges produced
-	// them, so each arena sizes to the largest single node).
-	arenas []arena[int]
-
-	// Wave-parallel scheduler (see SetWorkers and waveSched).
-	wave waveSched
-
-	// Compressed-merge scratch and merge-layer counters, one per
-	// worker like the arenas, plus the per-child compressed fold-step
-	// snapshots (indexed by the CHILD's id, like splits).
-	bps    []bpScratch
-	mstats []mergeStats
-	qsteps []qStep
+	qsteps  []qStep
 
 	// Incremental bookkeeping.
-	track      dirtyTracker
-	lastW      int
-	lastC      *tree.Constraints
-	lastCGen   uint64
-	recomputed int
-
-	// Cooperative cancellation (see SetContext and cancelGate).
-	cancel cancelGate
+	lastW    int
+	lastC    *tree.Constraints
+	lastCGen uint64
 
 	// Per solve:
-	w         int
-	c         *tree.Constraints
-	fullSolve bool
+	w int
+	c *tree.Constraints
 }
 
 // qStep is the retained snapshot of one compressed knapsack fold step
@@ -148,27 +128,10 @@ type qStep struct {
 
 // NewQoSSolver returns a reusable constrained-counting solver for t.
 func NewQoSSolver(t *tree.Tree) *QoSSolver {
-	s := &QoSSolver{
-		arenas: make([]arena[int], 1),
-		bps:    make([]bpScratch, 1),
-		mstats: make([]mergeStats, 1),
-	}
-	s.wave.workers = 1
+	s := &QoSSolver{}
+	s.init(s.solveNode, nil, cancelStride)
 	s.Reset(t)
 	return s
-}
-
-// SetWorkers sets the number of workers for the bottom-up pass
-// (workers <= 0 selects runtime.GOMAXPROCS(0); 1, the default, runs
-// sequentially without goroutines). Results are bit-identical for
-// every worker count; see waveSched and MinCostSolver.SetWorkers.
-func (s *QoSSolver) SetWorkers(workers int) {
-	n := s.wave.setWorkers(workers, func(w, i int) {
-		s.solveNode(s.wave.dirtyIdx[i], w)
-	})
-	s.arenas = grownKeep(s.arenas, n)[:n]
-	s.bps = grownKeep(s.bps, n)[:n]
-	s.mstats = grownKeep(s.mstats, n)[:n]
 }
 
 // Reset rebinds the solver to tree t, keeping every retained buffer as
@@ -177,7 +140,6 @@ func (s *QoSSolver) SetWorkers(workers int) {
 // after a Reset recomputes every table.
 func (s *QoSSolver) Reset(t *tree.Tree) {
 	n := t.N()
-	s.t = t
 	if s.eng == nil {
 		s.eng = tree.NewEngine(t)
 	} else {
@@ -194,31 +156,7 @@ func (s *QoSSolver) Reset(t *tree.Tree) {
 	s.splits = grownKeep(s.splits, n)
 	s.qsteps = grownKeep(s.qsteps, n)
 	s.lastC = nil
-	s.track.bind(n)
-}
-
-// Invalidate discards the validity of every cached subtree table,
-// forcing the next solve to recompute the whole tree. Demand edits
-// through SetDemand/SetClientRequests and constraint edits through the
-// Constraints setters are detected automatically and do not need it.
-func (s *QoSSolver) Invalidate() { s.track.invalidate() }
-
-// SetContext installs a context consulted by every following Solve at
-// coarse checkpoints (between height waves on the parallel path, every
-// cancelStride node tables on the sequential one). A cancelled context
-// aborts the in-flight solve within one checkpoint with nothing
-// committed; the solver stays repairable exactly as after a solve
-// error. A nil context — the default — disables the checkpoints.
-func (s *QoSSolver) SetContext(ctx context.Context) { s.cancel.set(ctx) }
-
-// Stats profiles the most recent completed solve: how many of the
-// tree's node tables it actually recomputed.
-func (s *QoSSolver) Stats() SolveStats {
-	st := SolveStats{Nodes: s.t.N(), Recomputed: s.recomputed}
-	for i := range s.mstats {
-		s.mstats[i].addTo(&st)
-	}
-	return st
+	s.bind(t)
 }
 
 // Solve runs the dynamic program for capacity W under constraints c
@@ -250,10 +188,7 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 	// constraint set reshapes every table. Constraint identity is the
 	// pointer plus its mutation generation, so in-place edits between
 	// solves are caught too.
-	s.fullSolve = W != s.lastW || c != s.lastC || c.Generation() != s.lastCGen || !s.track.solved
-	s.track.mark(t, s.fullSolve)
-	s.track.propagate(t)
-
+	s.markDirty(W != s.lastW || c != s.lastC || c.Generation() != s.lastCGen)
 	if err := s.run(); err != nil {
 		// Cancelled between checkpoints: nothing was committed, so the
 		// next solve re-dirties and recomputes a superset of the
@@ -262,7 +197,7 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 	}
 
 	s.lastW, s.lastC, s.lastCGen = W, c, c.Generation()
-	s.track.commit(t)
+	s.commit()
 
 	root := t.Root()
 	rootTab := s.tabs[root] // width 1: the root sits at depth 0
@@ -290,73 +225,21 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 // live in 0..max(depth(j)-1, 0).
 func (s *QoSSolver) tabRows(j int) int { return max(s.t.Depth(j)-1, 0) + 1 }
 
-func (s *QoSSolver) run() error {
-	for i := range s.mstats {
-		s.mstats[i] = mergeStats{}
-	}
-	var runErr error
-	if s.wave.workers > 1 {
-		var ok bool
-		s.recomputed, ok = s.wave.run(s.t, s.track.dirty, s.t.Waves(), s.cancel.done)
-		if !ok {
-			runErr = s.cancel.ctx.Err()
-		}
-	} else {
-		s.recomputed = 0
-		for _, j := range s.t.PostOrder() {
-			if !s.track.dirty[j] {
-				continue
-			}
-			if s.recomputed%cancelStride == 0 {
-				if err := s.cancel.err(); err != nil {
-					runErr = err
-					break
-				}
-			}
-			s.recomputed++
-			s.solveNode(j, 0)
-		}
-	}
-	// Flush the growth owed to each arena's last node into this solve
-	// (see MinCostSolver.run): a deferred reset would surface as a
-	// one-off allocation in a later solve's timed region.
-	for i := range s.arenas {
-		s.arenas[i].reset()
-	}
-	return runErr
-}
-
 // solveNode rebuilds node j's table from its children's, carving
 // knapsack-merge intermediates out of worker w's arena.
-func (s *QoSSolver) solveNode(j, w int) {
+func (s *QoSSolver) solveNode(j, w int) error {
 	ar, sc, ms := &s.arenas[w], &s.bps[w], &s.mstats[w]
 	t := s.t
-	ar.reset()
 	D := t.Depth(j)
 	kids := t.Children(j)
 	accRows := D + 1 // child requirements live in 0..D
 
-	// Fold restart point. The knapsack merge never reads node j's own
-	// demand (only the closures below do), so a node dirtied by its
-	// own clients alone replays zero fold steps; a dirty child
-	// restarts the fold at its position, decoding the preceding
-	// step's retained output snapshot as the accumulator. Both need
-	// the restart predecessor to have run compressed — dense steps
-	// keep no snapshot — and any input change to a prefix step dirties
-	// its child, which moves the restart before the change.
-	start := 0
-	if !s.fullSolve && len(kids) > 0 {
-		start = len(kids)
-		for st, ch := range kids {
-			if s.track.dirty[ch] {
-				start = st
-				break
-			}
-		}
-		if start > 0 && !s.qsteps[kids[start-1]].comp {
-			start = 0
-		}
-	}
+	// Fold restart point (see dpDriver.foldStart). The knapsack merge
+	// never reads node j's own demand (only the closures below do), so
+	// a node dirtied by its own clients alone replays zero fold steps,
+	// and a dirty child restarts the fold at its position, decoding the
+	// preceding step's retained output snapshot as the accumulator.
+	start := s.foldStart(j, w, kids, nil, false, func(q int) bool { return s.qsteps[kids[q]].comp })
 
 	// Knapsack merge of the children: acc cell (r, L) is the
 	// minimal sum of child flows using r replicas below, every
@@ -380,7 +263,6 @@ func (s *QoSSolver) solveNode(j, w int) {
 			decodeRunsIntStrided(prev.outRuns[prev.outOff[L]:prev.outOff[L+1]],
 				acc[L:], sz+1, accRows, qInf)
 		}
-		ms.replayed += len(kids) - start
 	}
 	for st := start; st < len(kids); st++ {
 		child := kids[st]
@@ -475,6 +357,7 @@ func (s *QoSSolver) solveNode(j, w int) {
 			ch[o] = qEscape
 		}
 	}
+	return nil
 }
 
 // mergeColumns runs one knapsack fold step on breakpoints: every

@@ -16,6 +16,14 @@ type shape struct {
 	size    int
 }
 
+// assign copies o into s's own dims and strides buffers (reusing their
+// capacity), detaching s from o's storage.
+func (s *shape) assign(o shape) {
+	s.dims = append(s.dims[:0], o.dims...)
+	s.strides = append(s.strides[:0], o.strides...)
+	s.size = o.size
+}
+
 func newShape(dims []int32) (shape, error) {
 	return fillShape(dims, make([]int32, len(dims)))
 }
@@ -60,27 +68,6 @@ func newOdometer(dims, outStrides []int32) *odometer {
 func (o *odometer) init(dims, outStrides, coords []int32) {
 	o.dims, o.ostr, o.coords = dims, outStrides, coords
 	o.reset()
-}
-
-// odometerAt returns an odometer positioned at the given flat index,
-// enabling parallel workers to scan disjoint table ranges.
-func odometerAt(dims, outStrides []int32, flat int) *odometer {
-	o := newOdometer(dims, outStrides)
-	// Row-major decomposition of flat into coordinates: a field's own
-	// stride is the product of the trailing dimensions.
-	own := make([]int32, len(dims))
-	s := int32(1)
-	for f := len(dims) - 1; f >= 0; f-- {
-		own[f] = s
-		s *= dims[f]
-	}
-	rem := int32(flat)
-	for f := 0; f < len(dims); f++ {
-		o.coords[f] = rem / own[f]
-		rem %= own[f]
-		o.out += o.coords[f] * outStrides[f]
-	}
-	return o
 }
 
 // next advances to the following cell, returning false after the last

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"replicatree/internal/cost"
@@ -130,10 +131,44 @@ func TestWaveParallelDeterminismQoS(t *testing.T) {
 	}
 }
 
+// checkPowerWaves solves prob on tr with a sequential PowerDP and with
+// wave-parallel ones at SetWorkers ∈ {2, 8}, steps times (calling
+// drift before every solve after the first), and fails unless every
+// solve yields the same front and the same reconstruction at every
+// front point. The root fold and the root scan stay sequential either
+// way; the wave scheduler covers the rest of the tree.
+func checkPowerWaves(t *testing.T, tr *tree.Tree, prob PowerProblem, steps int, drift func(step int)) {
+	t.Helper()
+	seq := NewPowerDP(tr)
+	workers := []int{2, 8}
+	pars := make([]*PowerDP, len(workers))
+	for i, w := range workers {
+		dp := NewPowerDP(tr)
+		dp.SetWorkers(w)
+		t.Cleanup(func() { dp.SetWorkers(1) })
+		pars[i] = dp
+	}
+	for step := 0; step < steps; step++ {
+		if step > 0 {
+			drift(step)
+		}
+		want, err := seq.Solve(prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, dp := range pars {
+			got, err := dp.Solve(prob)
+			if err != nil {
+				t.Fatalf("workers=%d step=%d: %v", workers[i], step, err)
+			}
+			frontsEqual(t, fmt.Sprintf("workers=%d step=%d", workers[i], step), want, got)
+		}
+	}
+}
+
 // TestWaveParallelDeterminismPower checks the power DP: byte-identical
 // Pareto fronts and identical reconstructions for every worker count,
-// cold and across drift steps. The root fold stays sequential either
-// way; the wave scheduler covers the rest of the tree.
+// cold and across drift steps.
 func TestWaveParallelDeterminismPower(t *testing.T) {
 	src := rng.New(92)
 	tr := tree.MustGenerate(tree.PowerConfig(40), src)
@@ -143,53 +178,55 @@ func TestWaveParallelDeterminismPower(t *testing.T) {
 	}
 	pm := power.MustNew([]int{5, 10}, 10, 2)
 	prob := PowerProblem{Existing: existing, Power: pm, Cost: cost.UniformModal(2, 0.5, 0.25, 0.25)}
+	checkPowerWaves(t, tr, prob, 6, func(step int) { driftSome(tr, step) })
+}
 
-	seq := NewPowerDP(tr)
-	dstSeq := tree.ReplicasOf(tr)
-	for _, workers := range []int{2, 8} {
-		par := NewPowerDP(tr)
-		par.SetWorkers(workers)
-		dstPar := tree.ReplicasOf(tr)
-		var wantF, gotF []ParetoPoint
-		for step := 0; step < 6; step++ {
-			if step > 0 {
-				driftSome(tr, step)
-			}
-			ws, err := seq.Solve(prob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantF = ws.FrontInto(wantF)
-			wantRes, ok := ws.BestInto(1e18, dstSeq)
-			if !ok {
-				t.Fatal("sequential solve found nothing")
-			}
-			ps, err := par.Solve(prob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotF = ps.FrontInto(gotF)
-			gotRes, ok := ps.BestInto(1e18, dstPar)
-			if !ok {
-				t.Fatal("parallel solve found nothing")
-			}
-			if len(gotF) != len(wantF) {
-				t.Fatalf("workers=%d step=%d: front size %d, want %d", workers, step, len(gotF), len(wantF))
-			}
-			for i := range wantF {
-				if gotF[i] != wantF[i] {
-					t.Fatalf("workers=%d step=%d: front[%d] = %+v, want %+v", workers, step, i, gotF[i], wantF[i])
-				}
-			}
-			if gotRes.Cost != wantRes.Cost || gotRes.Power != wantRes.Power {
-				t.Fatalf("workers=%d step=%d: best (%v, %v), want (%v, %v)",
-					workers, step, gotRes.Cost, gotRes.Power, wantRes.Cost, wantRes.Power)
-			}
-			if !samePlacement(tr.N(), dstPar, dstSeq) {
-				t.Fatalf("workers=%d step=%d: placements differ", workers, step)
-			}
-		}
+// TestParallelPowerMatchesSequential runs the wave-parallel power DP
+// on 60-node trees with pre-existing servers, whose tables are large
+// enough that every wave dispatches real merge work.
+func TestParallelPowerMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parallel-vs-sequential comparison is slow")
 	}
+	pm := power.MustNew([]int{5, 10}, 12.5, 3)
+	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
+	for seed := uint64(0); seed < 3; seed++ {
+		src := rng.Derive(seed, 80)
+		tr := tree.MustGenerate(tree.PowerConfig(60), src)
+		ex, _ := tree.RandomReplicas(tr, 6, 2, src)
+		checkPowerWaves(t, tr, PowerProblem{Existing: ex, Power: pm, Cost: cm}, 1, nil)
+	}
+}
+
+// TestParallelPowerSmallInstances covers trees whose waves are mostly
+// thinner than the pool's dispatch threshold, so nearly every node
+// runs inline on worker 0.
+func TestParallelPowerSmallInstances(t *testing.T) {
+	pm := power.MustNew([]int{5, 10}, 12.5, 3)
+	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
+	src := rng.New(81)
+	tr := tree.MustGenerate(tree.PowerConfig(15), src)
+	checkPowerWaves(t, tr, PowerProblem{Power: pm, Cost: cm}, 3, func(int) { driftClients(tr, 2, src) })
+}
+
+// TestParallelPowerWideStar runs the star topology with pre-existing
+// servers: one wide leaf wave fanned across the pool, then a single
+// giant root fold.
+func TestParallelPowerWideStar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wide star comparison is slow")
+	}
+	b := tree.NewBuilder()
+	src := rng.New(83)
+	for i := 1; i < 120; i++ {
+		leaf := b.AddNode(b.Root())
+		b.AddClient(leaf, src.Between(1, 5))
+	}
+	tr := b.MustBuild()
+	pm := power.MustNew([]int{5, 10}, 12.5, 3)
+	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
+	ex, _ := tree.RandomReplicas(tr, 4, 2, src)
+	checkPowerWaves(t, tr, PowerProblem{Existing: ex, Power: pm, Cost: cm}, 1, nil)
 }
 
 // TestMinCostServerCapDifferential lowers the cap activation threshold

@@ -29,7 +29,7 @@ const (
 // prices are not stated. These values keep cost order lexicographic in
 // (server count, reuse) for every tree size used here, matching the
 // paper's observation that both algorithms always return the minimal
-// number of replicas. See DESIGN.md §5.
+// number of replicas.
 func Exp1Cost() cost.Simple { return cost.Simple{Create: 0.01, Delete: 0.001} }
 
 // Exp3Power is the paper's Experiment 3 power model: two modes W1=5 and

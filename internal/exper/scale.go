@@ -61,6 +61,11 @@ func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 	// the same cross-tree pooling the sweep runners use per worker.
 	var dp *core.PowerDP
 	var front []core.ParetoPoint
+	defer func() {
+		if dp != nil {
+			dp.SetWorkers(1) // release the wave pool
+		}
+	}()
 
 	{ // MinCost-WithPre at scale.
 		src := rng.Derive(cfg.Seed, 101)
@@ -92,10 +97,9 @@ func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 			// would otherwise skip the whole re-solve of an identical
 			// instance, and the row must time a full solve.
 			dp.Invalidate()
+			dp.SetWorkers(workers)
 			start := time.Now()
-			solver, err := dp.Solve(core.PowerProblem{
-				Power: Exp3Power(), Cost: Exp3Cost(), Workers: workers,
-			})
+			solver, err := dp.Solve(core.PowerProblem{Power: Exp3Power(), Cost: Exp3Cost()})
 			if err != nil {
 				return nil, fmt.Errorf("exper: scale power NoPre: %w", err)
 			}
@@ -119,10 +123,9 @@ func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 		dp.Reset(t)
 		for _, workers := range []int{1, runtime.NumCPU()} {
 			dp.Invalidate() // time a full solve, not the skip path
+			dp.SetWorkers(workers)
 			start := time.Now()
-			solver, err := dp.Solve(core.PowerProblem{
-				Existing: existing, Power: Exp3Power(), Cost: Exp3Cost(), Workers: workers,
-			})
+			solver, err := dp.Solve(core.PowerProblem{Existing: existing, Power: Exp3Power(), Cost: Exp3Cost()})
 			if err != nil {
 				return nil, fmt.Errorf("exper: scale power WithPre: %w", err)
 			}

@@ -94,63 +94,6 @@ func ForEach(n, workers int, fn func(i int)) {
 	pb.rethrow()
 }
 
-// ForEachCancel is ForEach with cooperative cancellation: once done is
-// closed, workers stop claiming new items (items already started run to
-// completion — fn is never interrupted mid-item). It reports whether
-// every item was invoked; false means the sweep stopped early and an
-// unspecified subset of items never ran. A nil done channel degrades to
-// plain ForEach. The incremental DP solvers use this to abandon a
-// bottom-up pass within one item-sized checkpoint of a context
-// cancellation, leaving their retained tables repairable (items are
-// idempotent per-node rebuilds).
-func ForEachCancel(n, workers int, done <-chan struct{}, fn func(i int)) bool {
-	if done == nil {
-		ForEach(n, workers, fn)
-		return true
-	}
-	if n <= 0 {
-		return true
-	}
-	var stopped atomic.Bool
-	body := func(i int) bool {
-		select {
-		case <-done:
-			stopped.Store(true)
-			return false
-		default:
-		}
-		fn(i)
-		return true
-	}
-	if workers = clampWorkers(workers, n); workers == 1 {
-		for i := 0; i < n; i++ {
-			if !body(i) {
-				return false
-			}
-		}
-		return true
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var pb panicBox
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer pb.capture()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || !body(i) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	pb.rethrow()
-	return !stopped.Load()
-}
-
 // Map runs fn over [0, n) with ForEach and collects the results in
 // order.
 func Map[T any](n, workers int, fn func(i int) T) []T {

@@ -189,7 +189,7 @@ func TestPoolCoversAllIndices(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 57, 1000} {
 			hit := make([]int32, n)
-			p.Run(n, func(w, i int) {
+			p.RunCancel(n, nil, func(w, i int) {
 				if w < 0 || w >= workers {
 					t.Errorf("worker id %d out of [0,%d)", w, workers)
 				}
@@ -214,18 +214,18 @@ func TestPoolReusableAfterPanic(t *testing.T) {
 				t.Fatalf("recovered %v, want pool boom", r)
 			}
 		}()
-		p.Run(64, func(w, i int) {
+		p.RunCancel(64, nil, func(w, i int) {
 			if i == 31 {
 				panic("pool boom")
 			}
 		})
-		t.Fatal("Run returned instead of panicking")
+		t.Fatal("RunCancel returned instead of panicking")
 	}()
 	// The pool must stay usable after a drained panic.
 	var count atomic.Int32
-	p.Run(64, func(w, i int) { count.Add(1) })
+	p.RunCancel(64, nil, func(w, i int) { count.Add(1) })
 	if count.Load() != 64 {
-		t.Fatalf("post-panic Run covered %d indices, want 64", count.Load())
+		t.Fatalf("post-panic sweep covered %d indices, want 64", count.Load())
 	}
 }
 
@@ -236,7 +236,7 @@ func TestPoolDefaultWorkers(t *testing.T) {
 		t.Fatalf("Workers() = %d", p.Workers())
 	}
 	var count atomic.Int32
-	p.Run(100, func(w, i int) { count.Add(1) })
+	p.RunCancel(100, nil, func(w, i int) { count.Add(1) })
 	if count.Load() != 100 {
 		t.Fatalf("covered %d indices, want 100", count.Load())
 	}
@@ -244,64 +244,9 @@ func TestPoolDefaultWorkers(t *testing.T) {
 
 func TestPoolCloseIdempotent(t *testing.T) {
 	p := NewPool(3)
-	p.Run(10, func(w, i int) {})
+	p.RunCancel(10, nil, func(w, i int) {})
 	p.Close()
 	p.Close()
-}
-
-func TestForEachCancelCompletesWithOpenChannel(t *testing.T) {
-	done := make(chan struct{})
-	for _, workers := range []int{1, 4} {
-		var count atomic.Int32
-		if !ForEachCancel(100, workers, done, func(i int) { count.Add(1) }) {
-			t.Fatalf("workers=%d: reported early stop with an open channel", workers)
-		}
-		if count.Load() != 100 {
-			t.Fatalf("workers=%d: covered %d indices, want 100", workers, count.Load())
-		}
-	}
-}
-
-func TestForEachCancelNilChannelIsForEach(t *testing.T) {
-	var count atomic.Int32
-	if !ForEachCancel(50, 4, nil, func(i int) { count.Add(1) }) {
-		t.Fatal("nil done channel reported early stop")
-	}
-	if count.Load() != 50 {
-		t.Fatalf("covered %d indices, want 50", count.Load())
-	}
-}
-
-func TestForEachCancelStopsEarly(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		done := make(chan struct{})
-		var count atomic.Int32
-		completed := ForEachCancel(1000, workers, done, func(i int) {
-			if count.Add(1) == 10 {
-				close(done)
-			}
-		})
-		if completed {
-			t.Fatalf("workers=%d: sweep claims completion despite mid-sweep cancel", workers)
-		}
-		// Items already claimed may still finish; the bound is one
-		// in-flight item per worker past the cancellation point.
-		if got := count.Load(); got < 10 || got > 10+int32(workers) {
-			t.Fatalf("workers=%d: ran %d items, want within [10, %d]", workers, got, 10+workers)
-		}
-	}
-}
-
-func TestForEachCancelPreCancelled(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
-	var count atomic.Int32
-	if ForEachCancel(100, 4, done, func(i int) { count.Add(1) }) {
-		t.Fatal("pre-cancelled sweep claims completion")
-	}
-	if count.Load() != 0 {
-		t.Fatalf("pre-cancelled sweep ran %d items, want 0", count.Load())
-	}
 }
 
 func TestPoolRunCancelCompletesWithOpenChannel(t *testing.T) {
@@ -314,11 +259,11 @@ func TestPoolRunCancelCompletesWithOpenChannel(t *testing.T) {
 		if count.Load() != 100 {
 			t.Fatalf("workers=%d: covered %d indices, want 100", workers, count.Load())
 		}
-		// A cancellable sweep must not poison later plain Runs.
+		// A cancellable sweep must not poison later uncancellable ones.
 		count.Store(0)
-		p.Run(64, func(w, i int) { count.Add(1) })
+		p.RunCancel(64, nil, func(w, i int) { count.Add(1) })
 		if count.Load() != 64 {
-			t.Fatalf("workers=%d: post-RunCancel Run covered %d indices, want 64", workers, count.Load())
+			t.Fatalf("workers=%d: post-cancel nil-channel sweep covered %d indices, want 64", workers, count.Load())
 		}
 		p.Close()
 	}

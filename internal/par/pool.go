@@ -11,20 +11,21 @@ import (
 // fine for one-shot sweeps but allocates on every invocation; the
 // incremental solvers re-run their bottom-up pass on every drift step
 // and are benchmarked under a zero-alloc gate, so they need workers
-// that outlive the call. A Pool's steady-state Run performs no heap
-// allocations: workers park on pre-allocated channels between runs and
-// indices are handed out by an atomic cursor in small chunks (dynamic
-// load balancing for the highly uneven per-node work of the DP waves).
+// that outlive the call. A Pool's steady-state RunCancel performs no
+// heap allocations: workers park on pre-allocated channels between runs
+// and indices are handed out by an atomic cursor in small chunks
+// (dynamic load balancing for the highly uneven per-node work of the
+// DP waves).
 //
-// Run(n, fn) invokes fn(worker, i) for every i in [0, n), where worker
-// is a stable id in [0, Workers()) letting fn address per-worker state
-// (arenas, scratch) without synchronisation. The caller's goroutine
+// RunCancel(n, done, fn) invokes fn(worker, i) for every i in [0, n),
+// where worker is a stable id in [0, Workers()) letting fn address
+// per-worker state (arenas, scratch) without synchronisation. The caller's goroutine
 // participates as worker 0. As with ForEach, fn must confine its side
 // effects to index-addressed or worker-private storage; a panic in fn
 // is re-raised on the caller after the sweep drains.
 //
-// A Pool is not safe for concurrent Run calls. Close releases the
-// worker goroutines; a finalizer-style cleanup also releases them when
+// A Pool is not safe for concurrent RunCancel calls. Close releases
+// the worker goroutines; a finalizer-style cleanup also releases them when
 // a still-open Pool becomes unreachable, so dropping a Pool without
 // Close does not leak goroutines.
 type Pool struct {
@@ -40,13 +41,13 @@ type poolShared struct {
 	start   []chan struct{} // one slot per spawned worker (ids 1..workers-1)
 	done    chan struct{}
 
-	// Per-run state, written by Run before the workers wake and read
-	// only while they run (the channel sends/receives order the
+	// Per-run state, written by RunCancel before the workers wake and
+	// read only while they run (the channel sends/receives order the
 	// accesses).
 	fn      func(worker, i int)
 	n       int
 	chunk   int
-	stopC   <-chan struct{} // non-nil only for RunCancel sweeps
+	stopC   <-chan struct{} // nil for sweeps that cannot be cancelled
 	stopped atomic.Bool
 	next    atomic.Int64
 	pb      panicBox
@@ -80,25 +81,15 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.sh.workers }
 
-// Run invokes fn(worker, i) for every i in [0, n) across the pool's
-// workers and returns once all invocations completed. fn is not
-// retained after Run returns.
-func (p *Pool) Run(n int, fn func(worker, i int)) {
-	p.run(n, nil, fn)
-}
-
-// RunCancel is Run with cooperative cancellation: once done is closed,
-// workers stop claiming new chunks (items already started run to
-// completion). It reports whether every item was invoked; false means
-// the sweep stopped early and an unspecified subset of items never ran.
-// A nil done channel degrades to plain Run. Like Run, the steady state
-// performs no heap allocation, which keeps cancellable drift re-solves
-// inside the solver zero-alloc gate.
+// RunCancel invokes fn(worker, i) for every i in [0, n) across the
+// pool's workers and returns once all invocations completed; fn is not
+// retained afterwards. Once done is closed, workers stop claiming new
+// chunks (items already started run to completion). It reports whether
+// every item was invoked; false means the sweep stopped early and an
+// unspecified subset of items never ran. A nil done channel never
+// stops the sweep. The steady state performs no heap allocation, which
+// keeps cancellable drift re-solves inside the solver zero-alloc gate.
 func (p *Pool) RunCancel(n int, done <-chan struct{}, fn func(worker, i int)) bool {
-	return p.run(n, done, fn)
-}
-
-func (p *Pool) run(n int, done <-chan struct{}, fn func(worker, i int)) bool {
 	if n <= 0 {
 		return true
 	}
@@ -161,7 +152,7 @@ func (sh *poolShared) runWorker(w int) {
 }
 
 // Close releases the pool's worker goroutines. The pool must be idle;
-// Run must not be called afterwards (it would deadlock waiting on
+// RunCancel must not be called afterwards (it would deadlock waiting on
 // parked workers). Close is idempotent.
 func (p *Pool) Close() { p.sh.close() }
 

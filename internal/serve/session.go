@@ -644,8 +644,8 @@ func (s *Session) Close() {
 		s.wal.Close()
 		s.wal = nil
 	}
-	// SetWorkers(1) tears down the wave pools' goroutines (see
-	// waveSched.setWorkers); a fresh nil context detaches the solvers
+	// SetWorkers(1) tears down the wave pools' goroutines; a fresh nil
+	// context detaches the solvers
 	// from the cancelled lifetime context.
 	s.mc.SetWorkers(1)
 	s.mc.SetContext(nil)

@@ -183,8 +183,9 @@ func DriftRequests(t *Tree, cfg GenConfig, prob float64, src *rng.Source) int {
 // RandomReplicas equips count distinct random nodes, each at a mode drawn
 // uniformly from [1, modes]. With modes == 1 this realises the paper's
 // Experiment 1 pre-existing server placement; with modes == M it also
-// draws the initial operating modes needed by Experiment 3 (the paper
-// does not specify them; see DESIGN.md §5).
+// draws the initial operating modes needed by Experiment 3. The paper
+// does not specify those modes, so they are drawn uniformly, which
+// favours no mode over another.
 func RandomReplicas(t *Tree, count, modes int, src *rng.Source) (*Replicas, error) {
 	if count < 0 || count > t.N() {
 		return nil, fmt.Errorf("tree: RandomReplicas count %d out of [0,%d]", count, t.N())
