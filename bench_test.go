@@ -16,6 +16,7 @@ import (
 	"replicatree"
 	"replicatree/internal/core"
 	"replicatree/internal/exper"
+	"replicatree/internal/failure"
 	"replicatree/internal/heuristic"
 	"replicatree/internal/tree"
 )
@@ -733,11 +734,32 @@ func benchConstraints(tr *tree.Tree) *tree.Constraints {
 	return c
 }
 
+// benchMask downs the lowest-numbered equipped non-root node and cuts
+// the link above the highest-numbered unequipped node with clients, so
+// a masked evaluation skips a server and loses demand under every
+// policy.
+func benchMask(tr *tree.Tree, r *tree.Replicas) *failure.Mask {
+	m := failure.NewMask(tr.N())
+	for j := 1; j < tr.N(); j++ {
+		if r.Has(j) {
+			m.CrashNode(j)
+			break
+		}
+	}
+	for j := tr.N() - 1; j > 0; j-- {
+		if !r.Has(j) && tr.ClientSum(j) > 0 {
+			m.CutLink(j)
+			break
+		}
+	}
+	return m
+}
+
 // BenchmarkFlows times one flow evaluation per policy on the paper's
-// 100-node trees, with and without QoS/bandwidth constraints. With a
-// reused engine every variant must run allocation-free (watch
-// allocs/op); one warm-up evaluation lets the constrained passes grow
-// their pending-demand scratch before counting.
+// 100-node trees: plain, with QoS/bandwidth constraints, and under a
+// fault mask. With a reused engine every variant must run
+// allocation-free (watch allocs/op); one warm-up evaluation lets the
+// pending-demand scratch grow before counting.
 func BenchmarkFlows(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -745,6 +767,7 @@ func BenchmarkFlows(b *testing.B) {
 	}{{"fat100", false}, {"high100", true}} {
 		e, r := benchPolicyWorkload(b, shape.high)
 		cons := benchConstraints(e.Tree())
+		mask := benchMask(e.Tree(), r)
 		for _, p := range tree.Policies() {
 			b.Run(shape.name+"/"+p.String(), func(b *testing.B) {
 				b.ReportAllocs()
@@ -768,6 +791,19 @@ func BenchmarkFlows(b *testing.B) {
 				}
 				if unserved != 0 {
 					b.Fatalf("constrained benchmark placement invalid: %d unserved", unserved)
+				}
+			})
+			b.Run(shape.name+"/"+p.String()+"/masked", func(b *testing.B) {
+				e.EvalUniformMasked(r, p, 10, mask) // warm up scratch
+				b.ResetTimer()
+				b.ReportAllocs()
+				failed := 0
+				for i := 0; i < b.N; i++ {
+					res := e.EvalUniformMasked(r, p, 10, mask)
+					failed += res.FailUnserved
+				}
+				if failed == 0 {
+					b.Fatal("masked benchmark lost no demand to the mask")
 				}
 			})
 		}

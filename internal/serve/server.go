@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -395,6 +396,11 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) error {
 	}
 	opts.Workers = s.opts.Workers
 	if req.Workers != nil {
+		// Each of up to three solvers starts this many pool goroutines
+		// and sizes this many arenas, so bound it before building any.
+		if n, hi := *req.Workers, 4*runtime.GOMAXPROCS(0); n < 0 || n > hi {
+			return errf(http.StatusBadRequest, "serve: workers %d out of [0,%d]", n, hi)
+		}
 		opts.Workers = *req.Workers
 	}
 	s.sessionDefaults(&opts)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -358,5 +359,27 @@ func TestMaxNodesCap(t *testing.T) {
 	}
 	if info.ID != "i1" {
 		t.Fatalf("auto id %q, want i1", info.ID)
+	}
+}
+
+// TestWorkersBound checks that POST /instances rejects a worker count
+// outside [0, 4*GOMAXPROCS] with a 400 before building anything: no
+// instance appears, so no solver pool is ever sized from the value.
+func TestWorkersBound(t *testing.T) {
+	ts := newTestServer(t, ServerOptions{})
+	for i, workers := range []int{4*runtime.GOMAXPROCS(0) + 1, -1} {
+		if code := doJSON(t, ts, "POST", "/instances", map[string]any{
+			"id": fmt.Sprintf("w%d", i), "w": 10, "workers": workers,
+			"cost": map[string]float64{"create": 0.1, "delete": 0.01},
+			"gen":  map[string]any{"nodes": 50, "seed": 1},
+		}, nil); code != http.StatusBadRequest {
+			t.Fatalf("workers %d: status %d, want 400", workers, code)
+		}
+	}
+	var list struct {
+		Instances []infoResponse `json:"instances"`
+	}
+	if code := doJSON(t, ts, "GET", "/instances", nil, &list); code != http.StatusOK || len(list.Instances) != 0 {
+		t.Fatalf("after rejected loads: status %d, instances %v", code, list.Instances)
 	}
 }

@@ -64,9 +64,10 @@ func (c *Constraints) Reset(t *Tree) {
 func (c *Constraints) N() int { return len(c.bw) }
 
 // QoS returns the QoS bound of the k-th client of node j, or 0 when the
-// client is unconstrained (including clients never mentioned in c).
+// client is unconstrained (including clients never mentioned in c and
+// every client of a nil set).
 func (c *Constraints) QoS(j, k int) int {
-	if j < 0 || j >= len(c.qos) || k < 0 || k >= len(c.qos[j]) {
+	if c == nil || j < 0 || j >= len(c.qos) || k < 0 || k >= len(c.qos[j]) {
 		return 0
 	}
 	if q := c.qos[j][k]; q > 0 {
@@ -106,9 +107,10 @@ func (c *Constraints) SetUniformQoS(t *Tree, q int) {
 
 // Bandwidth returns the capacity of the link j -> parent(j), or
 // NoBandwidthLimit when the link is unconstrained. The root has no
-// upward link; its entry is reported as unconstrained.
+// upward link; its entry is reported as unconstrained, as is every link
+// of a nil set.
 func (c *Constraints) Bandwidth(j int) int {
-	if j <= 0 || j >= len(c.bw) || c.bw[j] < 0 {
+	if c == nil || j <= 0 || j >= len(c.bw) || c.bw[j] < 0 {
 		return NoBandwidthLimit
 	}
 	return c.bw[j]
@@ -205,7 +207,8 @@ func (c *Constraints) Clone() *Constraints {
 // MinServerDepth returns the deepest point in the tree the k-th client
 // of node j (at depth d) may still be served: a replica serving it must
 // sit at depth >= the returned value. 0 means the client is effectively
-// unconstrained (any ancestor, including the root, is acceptable).
+// unconstrained (any ancestor, including the root, is acceptable), as
+// every client of a nil set is.
 func (c *Constraints) MinServerDepth(j, k, d int) int {
 	q := c.QoS(j, k)
 	if q <= 0 {

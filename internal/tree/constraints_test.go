@@ -250,29 +250,33 @@ func TestConstrainedContainment(t *testing.T) {
 	}
 }
 
-// TestEvalConstrainedNilMatchesEval checks the nil-constraints and
-// all-unbounded-constraints paths agree with the plain evaluation.
+// TestEvalConstrainedNilMatchesEval checks that nil, all-unbounded and
+// loose constraints (every QoS bound at least the height + 1, every
+// bandwidth at least the total demand) reproduce the plain evaluation's
+// loads and Unserved under every policy.
 func TestEvalConstrainedNilMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
 		tr, _, r := randomPlacementTree(rng)
 		W := 1 + rng.Intn(10)
 		eng := NewEngine(tr)
-		unbounded := NewConstraints(tr)
+		loose := NewConstraints(tr)
+		loose.SetUniformQoS(tr, tr.Height()+1+rng.Intn(3))
+		loose.SetUniformBandwidth(tr.TotalRequests() + rng.Intn(3))
 		for _, p := range Policies() {
 			plain := eng.EvalUniform(r, p, W)
 			pu, pl := plain.Unserved, append([]int(nil), plain.Loads...)
-			if res := eng.EvalUniformConstrained(r, p, W, nil); res.Unserved != pu {
-				t.Fatalf("policy %v: nil constraints changed Unserved (%d != %d)", p, res.Unserved, pu)
-			}
-			res := eng.EvalUniformConstrained(r, p, W, unbounded)
-			if res.Unserved != pu {
-				t.Fatalf("policy %v: unbounded constraints changed Unserved (%d != %d)", p, res.Unserved, pu)
-			}
-			if p != PolicyUpwards { // upwards may pick a different but equal-sum assignment
+			for _, in := range []struct {
+				name string
+				c    *Constraints
+			}{{"nil", nil}, {"unbounded", NewConstraints(tr)}, {"loose", loose}} {
+				name, res := in.name, eng.EvalUniformConstrained(r, p, W, in.c)
+				if res.Unserved != pu {
+					t.Fatalf("policy %v: %s constraints changed Unserved (%d != %d)", p, name, res.Unserved, pu)
+				}
 				for j := range pl {
 					if res.Loads[j] != pl[j] {
-						t.Fatalf("policy %v: unbounded constraints changed loads (%v != %v)", p, res.Loads, pl)
+						t.Fatalf("policy %v: %s constraints changed loads (%v != %v)", p, name, res.Loads, pl)
 					}
 				}
 			}

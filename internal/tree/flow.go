@@ -3,7 +3,6 @@ package tree
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // CapOf maps a 1-based operating mode to its request capacity. It is
@@ -29,30 +28,65 @@ type Result struct {
 	Unserved int
 }
 
-// Engine evaluates request flows for one tree under any access policy.
-// All scratch state is preallocated and index-addressed at construction,
-// so evaluations after the first perform no heap allocations and a
-// reused engine turns flow evaluation into a pure array sweep — the
-// building block every solver, heuristic and simulator in this
-// repository shares. An Engine is not safe for concurrent use; create
-// one per goroutine (construction is O(N)).
+// FaultMask is the read-only up/down view the masked evaluators and
+// solvers consult (implemented by failure.Mask). NodeUp reports whether
+// node j is operational: a down node neither serves requests nor admits
+// its attached clients, but traffic from its subtree still transits
+// through it. LinkUp reports whether the link from node j to its parent
+// is intact; a cut link blocks every request originating inside j's
+// subtree from reaching a server outside it. LinkUp of the root is
+// never consulted.
+type FaultMask interface {
+	NodeUp(j int) bool
+	LinkUp(j int) bool
+}
+
+// MaskedResult describes one masked flow evaluation. On top of the
+// embedded Result — whose Loads and Unserved keep their usual meaning,
+// with Unserved counting only the demand that passes the root or has no
+// server on its path (the same demand an unmasked evaluation would
+// report lost) — it separates the losses the fault mask caused and
+// attributes them to the node whose clients suffered them. Loads and
+// UnservedAt alias the engine's scratch and are only valid until the
+// engine's next evaluation.
+type MaskedResult struct {
+	Result
+	// Issued is the total demand the tree's clients issued.
+	Issued int
+	// FailUnserved is the demand lost to failures: clients at down
+	// nodes, requests bound (under the closest policy) to a down or
+	// unreachable server, and requests trapped behind cut links.
+	// Issued == sum(Loads) + Unserved + FailUnserved.
+	FailUnserved int
+	// UnservedAt[j] is the failure-lost demand of the clients attached
+	// to node j; it sums to FailUnserved.
+	UnservedAt []int
+}
+
+// Engine evaluates request flows for one tree under any access policy,
+// with optional QoS and bandwidth constraints and an optional fault
+// mask. All scratch state is preallocated and index-addressed at
+// construction, so evaluations after the first perform no heap
+// allocations and a reused engine turns flow evaluation into a pure
+// array sweep — the building block every solver, heuristic and
+// simulator in this repository shares. An Engine is not safe for
+// concurrent use; create one per goroutine (construction is O(N)).
 type Engine struct {
 	t *Tree
 
 	loads []int // absorbed requests per node (aliased by Result.Loads)
-	up    []int // aggregate flow leaving each node upward
+	up    []int // closest routing: flow crossing the link j -> parent(j)
+	srv   []int // closest routing: forced server of j's clients (see closest)
 
-	// Upwards scratch: pending atomic client demands, kept as a stack
-	// aligned with the post-order traversal so that the demands still
-	// unserved inside subtree(j) form the contiguous tail pend[base:].
-	pend     []int
-	pendL    []int // minimal server depth per pending demand (constrained passes)
-	porig    []int // origin node per pending demand (masked passes)
+	// Upwards and Multiple scratch: pending client demands, kept as a
+	// stack aligned with the post-order traversal so that the demands
+	// still pending inside subtree(j) form the contiguous tail
+	// pend[pendBase[first(j)]:].
+	pend     []pending
 	pendBase []int // stack length before post[i] was processed
 	size     []int // subtree sizes (including the node itself)
-	srv      []int // serving-node depth per node (constrained closest validation)
 
-	unservedAt []int // failure-lost demand per origin node (masked passes)
+	unservedAt []int // failure-lost demand per origin node (masked evaluations)
 
 	w       int   // capacity used by the uniform-capacity closure
 	uniform CapOf // returns w; avoids a per-call closure allocation
@@ -100,6 +134,36 @@ func growScratch(s []int, n int) []int {
 // Tree returns the tree the engine evaluates.
 func (e *Engine) Tree() *Tree { return e.t }
 
+// eval is the single entry point of every evaluation: one pass per
+// policy, where a nil c means unconstrained and a nil m means every
+// node and link is up. Under the closest policy routing is forced by
+// the placement, so c cannot change the result and is not consulted.
+// It panics on a replica set of the wrong size, a nil capOf under the
+// upwards or multiple policies, or an unknown policy.
+func (e *Engine) eval(r *Replicas, p Policy, capOf CapOf, c *Constraints, m FaultMask) MaskedResult {
+	if r.N() != e.t.N() {
+		panic(fmt.Sprintf("tree: flow evaluation with replica set of size %d on tree of size %d", r.N(), e.t.N()))
+	}
+	if p != PolicyClosest && p.Valid() && capOf == nil {
+		panic(fmt.Sprintf("tree: evaluation under the %s policy needs capacities", p))
+	}
+	switch p {
+	case PolicyClosest:
+		return e.closest(r, m)
+	case PolicyUpwards:
+		return e.upwards(r, capOf, c, m)
+	case PolicyMultiple:
+		return e.multiple(r, capOf, c, m)
+	}
+	panic(fmt.Sprintf("tree: evaluation with unknown policy %d", uint8(p)))
+}
+
+// capW points the uniform-capacity closure at W.
+func (e *Engine) capW(W int) CapOf {
+	e.w = W
+	return e.uniform
+}
+
 // Eval evaluates replica set r under policy p. capOf supplies per-mode
 // capacities; it may be nil for PolicyClosest, whose routing ignores
 // capacities (requests stop at the first equipped ancestor even when it
@@ -108,132 +172,51 @@ func (e *Engine) Tree() *Tree { return e.t }
 // its capacity and the remainder continues toward the root, so returned
 // loads never exceed capacities and Unserved alone decides feasibility.
 func (e *Engine) Eval(r *Replicas, p Policy, capOf CapOf) Result {
-	if r.N() != e.t.N() {
-		panic(fmt.Sprintf("tree: flow evaluation with replica set of size %d on tree of size %d", r.N(), e.t.N()))
-	}
-	switch p {
-	case PolicyClosest:
-		return e.evalClosest(r)
-	case PolicyUpwards:
-		if capOf == nil {
-			panic("tree: Eval under the upwards policy needs capacities")
-		}
-		return e.evalUpwards(r, capOf)
-	case PolicyMultiple:
-		if capOf == nil {
-			panic("tree: Eval under the multiple policy needs capacities")
-		}
-		return e.evalMultiple(r, capOf)
-	default:
-		panic(fmt.Sprintf("tree: Eval with unknown policy %d", uint8(p)))
-	}
+	return e.eval(r, p, capOf, nil, nil).Result
 }
 
 // EvalUniform is Eval with every mode mapped to the single capacity W.
 func (e *Engine) EvalUniform(r *Replicas, p Policy, W int) Result {
-	if p == PolicyClosest {
-		return e.Eval(r, p, nil)
-	}
-	e.w = W
-	return e.Eval(r, p, e.uniform)
+	return e.eval(r, p, e.capW(W), nil, nil).Result
 }
 
-// evalClosest is the paper's closest service policy: every request is
-// absorbed by the first equipped node on its way to the root.
-func (e *Engine) evalClosest(r *Replicas) Result {
-	t := e.t
-	for _, j := range t.post {
-		f := t.ClientSum(j)
-		for _, c := range t.Children(j) {
-			f += e.up[c]
-		}
-		if r.Has(j) {
-			e.loads[j] = f
-			e.up[j] = 0
-		} else {
-			e.loads[j] = 0
-			e.up[j] = f
-		}
-	}
-	return Result{Policy: PolicyClosest, Loads: e.loads, Unserved: e.up[t.Root()]}
+// EvalConstrained evaluates replica set r under policy p with QoS and
+// bandwidth constraints c. A nil c is Eval. Under PolicyClosest the
+// routing is forced by the placement, so constraints cannot change the
+// result and EvalConstrained equals Eval (ValidateConstrained reports
+// the violations); under PolicyUpwards and PolicyMultiple requests that
+// cannot reach any server within their QoS bound or across a saturated
+// link count into Unserved and loads respect both capacities and
+// constraints. Like Eval, it panics on a replica set of the wrong size
+// or a missing capOf for the relaxed policies; the replicatree facade
+// wraps it with error-returning guards for untrusted input.
+func (e *Engine) EvalConstrained(r *Replicas, p Policy, capOf CapOf, c *Constraints) Result {
+	return e.eval(r, p, capOf, c, nil).Result
 }
 
-// evalMultiple routes splittable flows: each equipped node absorbs as
-// much of the traversing flow as its capacity allows and forwards the
-// rest. Because a server can only serve requests originating in its own
-// subtree — a strict subset of what any ancestor can serve — saturating
-// servers bottom-up is never worse than any other split, which makes
-// this single pass an exact feasibility test for the multiple policy
-// (cross-checked against a max-flow formulation in the core package's
-// tests).
-func (e *Engine) evalMultiple(r *Replicas, capOf CapOf) Result {
-	t := e.t
-	for _, j := range t.post {
-		f := t.ClientSum(j)
-		for _, c := range t.Children(j) {
-			f += e.up[c]
-		}
-		absorbed := 0
-		if r.Has(j) {
-			if c := capOf(r.Mode(j)); c > 0 {
-				absorbed = min(f, c)
-			}
-		}
-		e.loads[j] = absorbed
-		e.up[j] = f - absorbed
-	}
-	return Result{Policy: PolicyMultiple, Loads: e.loads, Unserved: e.up[t.Root()]}
+// EvalUniformConstrained is EvalConstrained with a single capacity W.
+func (e *Engine) EvalUniformConstrained(r *Replicas, p Policy, W int, c *Constraints) Result {
+	return e.eval(r, p, e.capW(W), c, nil).Result
 }
 
-// evalUpwards assigns whole clients to servers: pending client demands
-// climb toward the root and every equipped node keeps the largest
-// demands that fit (best-fit decreasing), forwarding the rest. The pass
-// is a sound feasibility certificate — when Unserved is zero the
-// constructed assignment proves the placement valid — but deciding
-// Upwards feasibility exactly is NP-complete (bin packing on the root
-// path), so a non-zero Unserved can over-reject; the core package's
-// brute-force search is the exact reference on small trees.
-func (e *Engine) evalUpwards(r *Replicas, capOf CapOf) Result {
-	t := e.t
-	e.pend = e.pend[:0]
-	unserved := 0
-	for i, j := range t.post {
-		e.pendBase[i] = len(e.pend)
-		for _, d := range t.Clients(j) {
-			if d > 0 {
-				e.pend = append(e.pend, d)
-			}
-		}
-		e.loads[j] = 0
-		if !r.Has(j) {
-			continue
-		}
-		// The demands still unserved in subtree(j) are the stack tail
-		// that accumulated since the subtree's first post-order node.
-		base := e.pendBase[i-e.size[j]+1]
-		seg := e.pend[base:]
-		sort.Ints(seg)
-		load, c := 0, capOf(r.Mode(j))
-		for k := len(seg) - 1; k >= 0; k-- {
-			if d := seg[k]; load+d <= c {
-				load += d
-				seg[k] = -1 // absorbed; compacted below
-			}
-		}
-		w := base
-		for k := base; k < len(e.pend); k++ {
-			if e.pend[k] >= 0 {
-				e.pend[w] = e.pend[k]
-				w++
-			}
-		}
-		e.pend = e.pend[:w]
-		e.loads[j] = load
-	}
-	for _, d := range e.pend {
-		unserved += d
-	}
-	return Result{Policy: PolicyUpwards, Loads: e.loads, Unserved: unserved}
+// EvalMasked evaluates replica set r under policy p with fault mask m
+// (nil means everything up, reproducing Eval's loads exactly). See
+// FaultMask for the fault semantics and the failure package's
+// documentation for the degradation contract: under the closest policy
+// requests bound to a failed server are lost, under the upwards and
+// multiple policies they climb past down servers and may be absorbed
+// higher up. capOf may be nil only for PolicyClosest.
+func (e *Engine) EvalMasked(r *Replicas, p Policy, capOf CapOf, m FaultMask) MaskedResult {
+	e.unservedAt = growScratch(e.unservedAt, e.t.N())
+	clear(e.unservedAt)
+	res := e.eval(r, p, capOf, nil, m)
+	res.Issued = e.t.TotalRequests()
+	return res
+}
+
+// EvalUniformMasked is EvalMasked with every mode mapped to capacity W.
+func (e *Engine) EvalUniformMasked(r *Replicas, p Policy, W int, m FaultMask) MaskedResult {
+	return e.EvalMasked(r, p, e.capW(W), m)
 }
 
 // Validate checks that r is a valid solution for the engine's tree
@@ -244,27 +227,82 @@ func (e *Engine) evalUpwards(r *Replicas, capOf CapOf) Result {
 // capacity-aware and only unserved requests remain to report (for
 // Upwards the check is conservative — see Policy).
 func (e *Engine) Validate(r *Replicas, p Policy, capOf CapOf) error {
-	res := e.Eval(r, p, capOf)
+	return e.ValidateConstrained(r, p, capOf, nil)
+}
+
+// ValidateUniform is Validate with a single capacity W for every mode.
+func (e *Engine) ValidateUniform(r *Replicas, p Policy, W int) error {
+	return e.ValidateConstrained(r, p, e.capW(W), nil)
+}
+
+// ValidateConstrained checks that r serves every client under policy p
+// within capacities, QoS bounds and link bandwidths. A nil c is
+// Validate. Under PolicyClosest the forced routing is checked against
+// all three constraint families, in that order and each in node order;
+// under the relaxed policies the constrained evaluation already routes
+// within the constraints, so only unserved requests remain to report
+// (conservatively for Upwards — see Policy).
+func (e *Engine) ValidateConstrained(r *Replicas, p Policy, capOf CapOf, c *Constraints) error {
+	res := e.eval(r, p, capOf, c, nil)
 	if res.Unserved > 0 {
 		return &CapacityError{Node: -1, Load: res.Unserved, Policy: p}
 	}
-	if p == PolicyClosest {
-		for j, l := range res.Loads {
-			if !r.Has(j) {
-				continue
+	if p != PolicyClosest {
+		return nil
+	}
+	for j, l := range res.Loads {
+		if r.Has(j) {
+			if cp := capOf(r.Mode(j)); l > cp {
+				return &CapacityError{Node: j, Load: l, Cap: cp, Policy: p}
 			}
-			if c := capOf(r.Mode(j)); l > c {
-				return &CapacityError{Node: j, Load: l, Cap: c, Policy: p}
+		}
+	}
+	if c == nil {
+		return nil
+	}
+	t := e.t
+	for j := 0; j < t.N(); j++ {
+		for k, d := range t.Clients(j) {
+			if q := c.QoS(j, k); d > 0 && q > 0 {
+				// Unserved == 0, so every demand-carrying node has a server.
+				s := e.srv[j]
+				if dist := t.depth[j] - t.depth[s] + 1; dist > q {
+					return &QoSError{Node: j, Client: k, Server: s, Dist: dist, Limit: q}
+				}
 			}
+		}
+	}
+	e.linkFlows(r)
+	for j := 1; j < t.N(); j++ {
+		if bw := c.Bandwidth(j); bw >= 0 && e.up[j] > bw {
+			return &BandwidthError{Node: j, Flow: e.up[j], Cap: bw}
 		}
 	}
 	return nil
 }
 
-// ValidateUniform is Validate with a single capacity W for every mode.
-func (e *Engine) ValidateUniform(r *Replicas, p Policy, W int) error {
-	e.w = W
-	return e.Validate(r, p, e.uniform)
+// ValidateUniformConstrained is ValidateConstrained with a single
+// capacity W for every mode.
+func (e *Engine) ValidateUniformConstrained(r *Replicas, p Policy, W int, c *Constraints) error {
+	return e.ValidateConstrained(r, p, e.capW(W), c)
+}
+
+// ClosestRouting evaluates the forced closest routing of r: up[j] is
+// the flow crossing the link j -> parent(j) and servingDepth[j] is the
+// depth of the node serving j's clients (-1 when no equipped node
+// covers j). It is the single source of truth for closest routing that
+// constraint accounting builds on (the simulator's SLA tallies, the
+// engine's own constrained validation). Both slices alias engine
+// scratch and are only valid until the next evaluation.
+func (e *Engine) ClosestRouting(r *Replicas) (up, servingDepth []int) {
+	e.eval(r, PolicyClosest, nil, nil, nil)
+	e.linkFlows(r)
+	for j, s := range e.srv {
+		if s >= 0 {
+			e.srv[j] = e.t.depth[s]
+		}
+	}
+	return e.up, e.srv
 }
 
 // Flows evaluates a replica set under the paper's closest service policy:
@@ -276,14 +314,20 @@ func (e *Engine) ValidateUniform(r *Replicas, p Policy, W int) error {
 // Flows constructs a throwaway engine; callers evaluating many replica
 // sets on one tree should hold a NewEngine instead.
 func Flows(t *Tree, r *Replicas) (loads []int, unserved int) {
-	res := NewEngine(t).Eval(r, PolicyClosest, nil)
-	return res.Loads, res.Unserved
+	return FlowsConstrained(t, r, PolicyClosest, 0, nil)
 }
 
 // FlowsPolicy evaluates a replica set under an arbitrary access policy
 // with the single capacity W (see Engine.Eval for the semantics).
 func FlowsPolicy(t *Tree, r *Replicas, p Policy, W int) (loads []int, unserved int) {
-	res := NewEngine(t).EvalUniform(r, p, W)
+	return FlowsConstrained(t, r, p, W, nil)
+}
+
+// FlowsConstrained evaluates a replica set under policy p with a single
+// capacity W and constraints c, constructing a throwaway engine (hold a
+// NewEngine to evaluate many sets on one tree).
+func FlowsConstrained(t *Tree, r *Replicas, p Policy, W int, c *Constraints) (loads []int, unserved int) {
+	res := NewEngine(t).EvalUniformConstrained(r, p, W, c)
 	return res.Loads, res.Unserved
 }
 
@@ -305,22 +349,9 @@ func ServerFor(t *Tree, r *Replicas, j int) int {
 // Nodes without clients still get an entry, describing where their
 // clients would be served.
 func Assignments(t *Tree, r *Replicas) []int {
-	out := make([]int, t.N())
-	// Top-down pass: the serving node for j is j if equipped, else the
-	// serving node of its parent.
-	post := t.post
-	for i := len(post) - 1; i >= 0; i-- {
-		j := post[i]
-		switch {
-		case r.Has(j):
-			out[j] = j
-		case j == t.Root():
-			out[j] = -1
-		default:
-			out[j] = out[t.parent[j]]
-		}
-	}
-	return out
+	e := NewEngine(t)
+	e.eval(r, PolicyClosest, nil, nil, nil)
+	return e.srv
 }
 
 // CapacityError describes a violated constraint found by Validate.
@@ -341,6 +372,33 @@ func (e *CapacityError) Error() string {
 	return fmt.Sprintf("tree: server at node %d carries %d requests, capacity %d", e.Node, e.Load, e.Cap)
 }
 
+// QoSError reports a client served beyond its QoS bound under the
+// closest policy.
+type QoSError struct {
+	Node   int // node the client is attached to
+	Client int // index within Tree.Clients(Node)
+	Server int // node that serves the client
+	Dist   int // hops between client and server (client edge included)
+	Limit  int // the violated QoS bound
+}
+
+func (e *QoSError) Error() string {
+	return fmt.Sprintf("tree: client %d of node %d is served by node %d at distance %d > QoS %d",
+		e.Client, e.Node, e.Server, e.Dist, e.Limit)
+}
+
+// BandwidthError reports a link carrying more requests than its
+// bandwidth under the closest policy.
+type BandwidthError struct {
+	Node int // the link is Node -> parent(Node)
+	Flow int // requests crossing the link
+	Cap  int // the violated bandwidth
+}
+
+func (e *BandwidthError) Error() string {
+	return fmt.Sprintf("tree: link %d->parent carries %d requests, bandwidth %d", e.Node, e.Flow, e.Cap)
+}
+
 // Validate checks that r is a valid solution for t under the closest
 // policy: every request is served and every equipped node's load is
 // within the capacity of its operating mode, as given by capOf (1-based
@@ -352,11 +410,17 @@ func Validate(t *Tree, r *Replicas, capOf func(mode uint8) int) error {
 // ValidateUniform checks a single-capacity closest-policy solution:
 // every replica (whatever its mode) may carry at most W requests.
 func ValidateUniform(t *Tree, r *Replicas, W int) error {
-	return NewEngine(t).ValidateUniform(r, PolicyClosest, W)
+	return ValidateConstrained(t, r, PolicyClosest, W, nil)
 }
 
 // ValidatePolicy checks a single-capacity solution under an arbitrary
 // access policy.
 func ValidatePolicy(t *Tree, r *Replicas, p Policy, W int) error {
-	return NewEngine(t).ValidateUniform(r, p, W)
+	return ValidateConstrained(t, r, p, W, nil)
+}
+
+// ValidateConstrained checks a single-capacity solution under policy p
+// with constraints c. See Engine.ValidateConstrained.
+func ValidateConstrained(t *Tree, r *Replicas, p Policy, W int, c *Constraints) error {
+	return NewEngine(t).ValidateUniformConstrained(r, p, W, c)
 }

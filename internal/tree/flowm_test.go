@@ -53,8 +53,10 @@ func TestEvalMaskedAllUpMatchesEval(t *testing.T) {
 
 // TestEvalMaskedConservation checks, under random masks, the law
 // issued == sum(loads) + unserved + failure-unserved, the per-origin
-// attribution, and (for the capacity-aware policies) that no live
-// server exceeds its capacity and no down server carries load.
+// attribution (all or nothing per origin under the closest policy,
+// whose routing binds a node's clients to one server), and (for the
+// capacity-aware policies) that no live server exceeds its capacity and
+// no down server carries load.
 func TestEvalMaskedConservation(t *testing.T) {
 	for _, policy := range Policies() {
 		for seed := uint64(0); seed < 30; seed++ {
@@ -93,6 +95,9 @@ func TestEvalMaskedConservation(t *testing.T) {
 				}
 				if policy != PolicyClosest && l > W {
 					t.Fatalf("policy %v seed %d: node %d carries %d > W=%d", policy, seed, j, l, W)
+				}
+				if at := res.UnservedAt[j]; policy == PolicyClosest && at != 0 && at != tr.ClientSum(j) {
+					t.Fatalf("policy %v seed %d: node %d lost %d of its %d requests", policy, seed, j, at, tr.ClientSum(j))
 				}
 			}
 			if got := sumLoads + res.Unserved + res.FailUnserved; got != issued {

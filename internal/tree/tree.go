@@ -18,7 +18,9 @@
 // repeated evaluations on one tree are allocation-free; Flows,
 // Validate and friends are one-shot wrappers around it. Constraints
 // adds the per-client QoS bounds and per-link bandwidths of 0706.3350,
-// enforced by the engine's constrained passes (see flowc.go).
+// enforced by the same pass per policy that serves plain and masked
+// evaluation (see Engine.multiple for why its tightest-first order
+// stays exact).
 //
 // Internal nodes are identified by dense integer ids 0..N-1 with node 0
 // the root. Clients are not materialised as nodes: each internal node
