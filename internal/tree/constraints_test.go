@@ -48,7 +48,8 @@ func TestConstraintsAccessors(t *testing.T) {
 	if c.QoS(2, 0) != 3 {
 		t.Fatal("Clone aliases the original")
 	}
-	if (*Constraints)(nil).Bounded() {
+	var none *Constraints
+	if none.Bounded() || none.QoS(2, 0) != 0 || none.MinServerDepth(2, 0, 2) != 0 || none.Bandwidth(1) != NoBandwidthLimit {
 		t.Fatal("nil constraints should be unbounded")
 	}
 	if err := (*Constraints)(nil).Validate(tr); err != nil {

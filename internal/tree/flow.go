@@ -75,7 +75,7 @@ type Engine struct {
 	t *Tree
 
 	loads []int // absorbed requests per node (aliased by Result.Loads)
-	up    []int // closest routing: flow crossing the link j -> parent(j)
+	up    []int // closest routing: demand of j's clients, then (linkFlows) flow across j -> parent(j)
 	srv   []int // closest routing: forced server of j's clients (see closest)
 
 	// Upwards and Multiple scratch: pending client demands, kept as a

@@ -60,8 +60,8 @@ func (e *Engine) closest(r *Replicas, m FaultMask) MaskedResult {
 				s = -2 - s
 			}
 		}
-		e.srv[j] = s
 		d := t.ClientSum(j)
+		e.srv[j], e.up[j] = s, d
 		switch {
 		case d == 0:
 		case s < -1 || m != nil && !m.NodeUp(j):
@@ -75,20 +75,19 @@ func (e *Engine) closest(r *Replicas, m FaultMask) MaskedResult {
 	return res
 }
 
-// linkFlows fills e.up with the closest routing's flow across every
-// link j -> parent(j), bottom-up; the root's entry is the unserved
-// demand.
+// linkFlows turns the per-node demands the closest pass left in e.up
+// into the closest routing's flow across every link j -> parent(j),
+// bottom-up; the root's entry is the unserved demand.
 func (e *Engine) linkFlows(r *Replicas) {
 	t := e.t
 	for _, j := range t.post {
-		f := 0
-		if !r.Has(j) {
-			f = t.ClientSum(j)
-			for _, c := range t.Children(j) {
-				f += e.up[c]
-			}
+		if r.Has(j) {
+			e.up[j] = 0
+			continue
 		}
-		e.up[j] = f
+		for _, c := range t.Children(j) {
+			e.up[j] += e.up[c]
+		}
 	}
 }
 
