@@ -37,10 +37,11 @@ func byUrgency(a, b pending) int {
 // bound to its first equipped ancestor whether or not that ancestor is
 // up, so a down server, a down access node or a cut link on the way
 // loses the request. Constraints never change this routing;
-// ValidateConstrained checks it against them. One top-down pass (post order reversed visits
-// parents first) records in e.srv, per node, the forced server s of its
-// clients — s when the path to s is live, -2-s when it is not, -1 when
-// no equipped node covers it — and adds the node's demand onto s.
+// ValidateConstrained checks it against them. One top-down pass (post
+// order reversed visits parents first) records in e.srv, per node, the
+// forced server s of its clients — s when the path to s is live, -2-s
+// when it is not, -1 when no equipped node covers it — leaves the
+// node's demand in e.up for linkFlows, and adds it onto s.
 func (e *Engine) closest(r *Replicas, m FaultMask) MaskedResult {
 	t := e.t
 	res := e.start(PolicyClosest)
