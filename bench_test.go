@@ -147,14 +147,26 @@ func BenchmarkScalePowerWithPre50(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	prob := core.PowerProblem{Tree: t, Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolvePower(core.PowerProblem{
-			Tree: t, Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost(),
-		}); err != nil {
+		if _, err := core.SolvePower(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPowerMergeCells(b, prob)
+}
+
+// reportPowerMergeCells reports the merge work of one cold solve of
+// prob as merge-cells/op: a count that is exact for the instance,
+// unlike the timings beside it. The solve runs outside the timed loop.
+func reportPowerMergeCells(b *testing.B, prob core.PowerProblem) {
+	b.StopTimer()
+	dp := core.NewPowerDP(prob.Tree)
+	if _, err := dp.Solve(prob); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(dp.Stats().MergeCellsScanned), "merge-cells/op")
 }
 
 // --- Solver micro-benchmarks ---
@@ -212,14 +224,14 @@ func BenchmarkPowerSolverExp3Tree(b *testing.B) {
 	src := replicatree.NewRNG(4)
 	t := tree.MustGenerate(tree.PowerConfig(50), src)
 	existing, _ := tree.RandomReplicas(t, 5, 2, src)
+	prob := core.PowerProblem{Tree: t, Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolvePower(core.PowerProblem{
-			Tree: t, Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost(),
-		}); err != nil {
+		if _, err := core.SolvePower(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPowerMergeCells(b, prob)
 }
 
 // --- Reusable solver micro-benchmarks (arena steady state) ---
@@ -284,6 +296,7 @@ func BenchmarkPowerSolverReuse(b *testing.B) {
 			b.Fatal("no solution")
 		}
 	}
+	b.ReportMetric(float64(dp.Stats().MergeCellsScanned), "merge-cells/op")
 }
 
 // BenchmarkQoSSolverReuse times steady-state constrained-counting

@@ -82,10 +82,11 @@ type SolveStats struct {
 	// PowerDP.Reset) exists to push this number up. Stays 0 for
 	// MinCostSolver and QoSSolver.
 	RootMergeRetained int
-	// MergeCellsScanned measures the merge work of the solve: table
-	// cells visited by dense merge kernels plus breakpoint runs visited
-	// by compressed ones. Comparing it against the dense-only volume of
-	// a cold solve is the direct read on what row compression saves.
+	// MergeCellsScanned measures the merge work of the solve: the
+	// (accumulated cell, child cell) pairs dense merge kernels evaluate
+	// (PowerDP's only pairs of reached cells) plus the breakpoint runs
+	// compressed ones visit. Comparing it against the dense-only volume
+	// of a cold solve is the direct read on what row compression saves.
 	MergeCellsScanned int
 	// RowsCompressed counts the DP rows the merge kernels ran in
 	// breakpoint form instead of densely (two rows — accumulator and

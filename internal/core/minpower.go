@@ -563,9 +563,11 @@ func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int3
 
 // mergeInto runs the actual table merge of child ch — the st-th child
 // of j — into out (sized outShape.size), refreshing the step's
-// provenance table. The dense kernel's first writer of the minimal
-// value wins, which by scan order is the smallest (accumulated cell,
-// child cell) pair — the same order packProv encodes.
+// provenance table. The dense kernel pairs every reached accumulated
+// cell with every reached child cell (value <= W_M), reading the child
+// side from a list built once per merge; the first writer of the
+// minimal value wins, which by scan order is the smallest (accumulated
+// cell, child cell) pair — the same order packProv encodes.
 func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape, out []int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) {
 	chShape := d.shapes[ch]
 	chVals := d.vals[ch]
@@ -577,7 +579,6 @@ func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape
 		return
 	}
 	step.comp = false
-	ms.cells += accShape.size * chShape.size
 
 	for i := range out {
 		out[i] = pUnreached
@@ -603,35 +604,43 @@ func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape
 		}
 	}
 
-	pm := d.prob.Power
-	update := func(idx int32, v int32, p uint64) {
-		if v < out[idx] {
-			out[idx] = v
-			prov[idx] = p
+	// List the child's reached cells once, in ascending flat order,
+	// four entries each: flat index, value, output offset and the
+	// smallest mode that carries the value.
+	nr := 0
+	for _, cv := range chVals[:chShape.size] {
+		if cv <= d.wm {
+			nr++
 		}
 	}
+	reached := ar.alloc(4 * nr)
 	var ao, co odometer
-	ao.init(accShape.dims, outShape.strides, ar.alloc(len(accShape.dims)))
 	co.init(chShape.dims, outShape.strides, ar.alloc(len(chShape.dims)))
+	for cFlat, k := 0, 0; cFlat < chShape.size; cFlat++ {
+		if cv := chVals[cFlat]; cv <= d.wm {
+			minMode, _ := d.prob.Power.ModeFor(int(cv))
+			reached[k], reached[k+1], reached[k+2], reached[k+3] = int32(cFlat), cv, co.out, int32(minMode)
+			k += 4
+		}
+		co.next()
+	}
+
+	wm, M := d.wm, int32(d.M)
+	ao.init(accShape.dims, outShape.strides, ar.alloc(len(accShape.dims)))
 	for aFlat := 0; aFlat < accShape.size; aFlat++ {
-		a := acc[aFlat]
-		if a <= d.wm {
-			co.reset()
-			for cFlat := 0; cFlat < chShape.size; cFlat++ {
-				cv := chVals[cFlat]
-				if cv <= d.wm {
-					base := ao.out + co.out
-					if a+cv <= d.wm {
-						update(base, a+cv, packProv(aFlat, cFlat, 0))
-					}
-					minMode, ok := pm.ModeFor(int(cv))
-					if ok {
-						for m := minMode; m <= d.M; m++ {
-							update(base+placeBump[m], a, packProv(aFlat, cFlat, uint8(m)))
-						}
+		if a := acc[aFlat]; a <= wm {
+			ms.cells += nr
+			for k := 0; k < len(reached); k += 4 {
+				e := reached[k : k+4 : k+4]
+				base := ao.out + e[2]
+				if v := a + e[1]; v <= wm && v < out[base] {
+					out[base], prov[base] = v, packProv(aFlat, int(e[0]), 0)
+				}
+				for m := e[3]; m <= M; m++ {
+					if i := base + placeBump[m]; a < out[i] {
+						out[i], prov[i] = a, packProv(aFlat, int(e[0]), uint8(m))
 					}
 				}
-				co.next()
 			}
 		}
 		ao.next()
