@@ -178,7 +178,7 @@ func oracleChain(src *rng.Source, n, maxReq int) *tree.Tree {
 func TestDenseMergeMatchesOracle(t *testing.T) {
 	models := []power.Model{
 		power.MustNew([]int{10}, 12.5, 3),
-		power.MustNew([]int{5, 10}, 12.5, 3),
+		powerModel2(),
 		power.MustNew([]int{3, 6, 10}, 12.5, 3),
 	}
 	for _, pm := range models {

@@ -40,7 +40,7 @@ type powerGoldenCase struct {
 // Figure 11 (expensive creation and deletion), plus a three-mode model.
 var (
 	goldenExp3 = powerGoldenCase{
-		pm:     power.MustNew([]int{5, 10}, math.Pow(5, 3)/10, 3),
+		pm:     powerModel2(),
 		cm:     cost.UniformModal(2, 0.1, 0.01, 0.001),
 		bounds: goldenBounds(10, 45, 1),
 	}
