@@ -267,6 +267,7 @@ func BenchmarkMinCostSolverReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(solver.Stats().MergeCellsScanned), "merge-cells/op")
 }
 
 // BenchmarkPowerSolverReuse times steady-state power solves (full DP

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"replicatree/internal/cost"
@@ -33,14 +34,21 @@ func setDenseWidth(t *testing.T, w int) func(int) {
 	return set
 }
 
+// TestMinCostCompressedMatchesDense checks the run-native MinCost
+// kernel against the dense reference (denseMinCost) over drift
+// sequences at one, two and eight workers: same placements, costs and
+// server splits, and every node's final table equal to the dense one
+// cell for cell. The second half of each sequence chains solutions
+// into the next pre-existing set, so the e axis is live. It also checks
+// the monotone-row contract on the dense tables, which assume nothing
+// about row shape: the run tables are exact only because it holds.
 func TestMinCostCompressedMatchesDense(t *testing.T) {
-	set := setDenseWidth(t, forceDense)
-	c := cost.Simple{Create: 0.1, Delete: 0.01}
-	compressedRows := 0
+	// Delete = 1 prices keeping a pre-existing root exactly like
+	// dropping it: a tie the root scan must break as the dense scan does.
+	costs := []cost.Simple{{Create: 0.1, Delete: 0.01}, {Create: 0.3, Delete: 1}}
 	for i := 0; i < reuseTreeCount(t); i++ {
 		src := rng.Derive(211, i)
 		tr := tree.MustGenerate(reuseGen(i), src)
-		dense := NewMinCostSolver(tr)
 		workers := []int{1, 2, 8}
 		comps := make([]*MinCostSolver, len(workers))
 		dsts := make([]*tree.Replicas, len(workers))
@@ -50,20 +58,18 @@ func TestMinCostCompressedMatchesDense(t *testing.T) {
 			dsts[k] = tree.ReplicasOf(tr)
 		}
 		existing := tree.ReplicasOf(tr)
-		denseDst := tree.ReplicasOf(tr)
 		W := 10
 		for step := 0; step < 10; step++ {
 			driftClients(tr, src.IntN(4), src)
 			if step%5 == 4 {
 				W = 8 + src.IntN(3)
 			}
-			set(forceDense)
-			want, wantErr := dense.SolveInto(existing, W, c, denseDst)
-			set(forceCompressed)
+			c := costs[step%len(costs)]
+			dense, want, wantErr := solveDense(tr, existing, nil, W, c)
 			for k, w := range workers {
 				got, gotErr := comps[k].SolveInto(existing, W, c, dsts[k])
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("tree %d step %d workers %d: dense err %v, compressed err %v",
+					t.Fatalf("tree %d step %d workers %d: dense err %v, run err %v",
 						i, step, w, wantErr, gotErr)
 				}
 				if wantErr != nil {
@@ -71,18 +77,14 @@ func TestMinCostCompressedMatchesDense(t *testing.T) {
 				}
 				if !want.Placement.Equal(got.Placement) || want.Cost != got.Cost ||
 					want.Servers != got.Servers || want.Reused != got.Reused {
-					t.Fatalf("tree %d step %d workers %d: dense %v (cost %v) != compressed %v (cost %v)",
+					t.Fatalf("tree %d step %d workers %d: dense %v (cost %v) != run %v (cost %v)",
 						i, step, w, want.Placement, want.Cost, got.Placement, got.Cost)
 				}
-				compressedRows += comps[k].Stats().RowsCompressed
+				checkRunTables(t, comps[k], dense)
 			}
 			if wantErr != nil {
 				continue
 			}
-			// The second half of each sequence also churns pre-existing
-			// membership (solutions feed back as the next existing set),
-			// exercising the dense fallback around pre-carrying subtrees
-			// next to compressed pre-free ones.
 			if step >= 5 {
 				existing.Reset()
 				for j := 0; j < tr.N(); j++ {
@@ -90,11 +92,39 @@ func TestMinCostCompressedMatchesDense(t *testing.T) {
 						existing.Set(j, 1)
 					}
 				}
+				// A pre-existing root that may carry no load.
+				existing.Set(tr.Root(), 1)
 			}
 		}
+		for _, s := range comps {
+			s.SetWorkers(1)
+		}
 	}
-	if compressedRows == 0 {
-		t.Fatal("forced activation width never engaged the compressed kernel")
+}
+
+// checkRunTables compares every node's final run table of s with the
+// dense reference's table: same dimensions, every dense row monotone
+// (an infeasible prefix, then non-increasing values), and the run rows
+// decoding to exactly the dense rows.
+func checkRunTables(t *testing.T, s *MinCostSolver, d *denseMinCost) {
+	t.Helper()
+	for j := 0; j < s.t.N(); j++ {
+		tab := s.table(j)
+		if tab.dimE != d.dimE[j] || tab.dimN != d.dimN[j] {
+			t.Fatalf("node %d: run table %dx%d, dense %dx%d", j, tab.dimE, tab.dimN, d.dimE[j], d.dimN[j])
+		}
+		w := int(tab.dimN) + 1
+		got := make([]int32, w)
+		for e := int32(0); e <= tab.dimE; e++ {
+			want := d.vals[j][int(e)*w : int(e+1)*w]
+			if _, ok := encodeRuns32(want, invalid, nil); !ok {
+				t.Fatalf("node %d row %d breaks the monotone-row contract: %v", j, e, want)
+			}
+			decodeRuns32(tab.row(e), got, invalid)
+			if !slices.Equal(got, want) {
+				t.Fatalf("node %d row %d: runs decode to %v, dense %v", j, e, got, want)
+			}
+		}
 	}
 }
 

@@ -116,15 +116,11 @@ func TestMaskedMinCostMatchesColdOverCrashSequences(t *testing.T) {
 	}
 }
 
-// TestMaskedMinCostCappedMatchesUncapped cross-checks the server-count
-// cap under masks: with minCapNodes lowered so the cap engages on small
-// trees, capped masked solves must byte-match uncapped ones — including
-// after the masked greedy feasibility pass fails and forces capB back
-// to 0.
-func TestMaskedMinCostCappedMatchesUncapped(t *testing.T) {
-	saved := minCapNodes
-	defer func() { minCapNodes = saved }()
-
+// TestMaskedMinCostWorkersMatchCold runs chained masked solves through
+// one wave-parallel solver and checks each against a cold sequential
+// solver handed the same mask: byte-identical placements and costs at
+// every step, whether the mask leaves the instance feasible or not.
+func TestMaskedMinCostWorkersMatchCold(t *testing.T) {
 	c := cost.Simple{Create: 0.1, Delete: 0.01}
 	W := 10
 	for i := 0; i < 25; i++ {
@@ -133,33 +129,31 @@ func TestMaskedMinCostCappedMatchesUncapped(t *testing.T) {
 		n := tr.N()
 		mask := failure.NewMask(n)
 
-		minCapNodes = 1
-		capped := NewMinCostSolver(tr)
-		capped.SetMask(mask)
+		warm := NewMinCostSolver(tr)
+		warm.SetWorkers(4)
+		warm.SetMask(mask)
 		existing := tree.ReplicasOf(tr)
 		for step := 0; step < 6; step++ {
 			crashStep(mask, n, src)
+			got, gotErr := warm.Solve(existing, W, c)
 
-			minCapNodes = 1
-			got, gotErr := capped.Solve(existing, W, c)
-
-			minCapNodes = 1 << 30
 			cold := NewMinCostSolver(tr)
 			cold.SetMask(mask)
 			want, wantErr := cold.Solve(existing, W, c)
 
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("seq %d step %d: uncapped err %v, capped err %v", i, step, wantErr, gotErr)
+				t.Fatalf("seq %d step %d: cold err %v, warm err %v", i, step, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				continue
 			}
 			if !want.Placement.Equal(got.Placement) || want.Cost != got.Cost {
-				t.Fatalf("seq %d step %d: uncapped %v (cost %v) != capped %v (cost %v)",
+				t.Fatalf("seq %d step %d: cold %v (cost %v) != warm %v (cost %v)",
 					i, step, want.Placement, want.Cost, got.Placement, got.Cost)
 			}
 			existing = got.Placement
 		}
+		warm.SetWorkers(1)
 	}
 }
 

@@ -57,36 +57,29 @@ func MinReplicaCount(t *tree.Tree, W int) (int, error) {
 	return res.Servers, nil
 }
 
-// mcDec records, for one cell of a post-merge table, where its value
-// came from: the cell of the accumulated table before the merge and
-// whether a replica was placed on the merged child.
-type mcDec struct {
-	ePrev, nPrev int32
-	place        bool
-}
-
-// mcStep is the decision table produced by merging one child. A step
-// run by the dense kernel stores one mcDec per output cell; a step run
-// by the compressed kernel (comp) stores breakpoint snapshots of its
-// accumulator input (inRuns) and output (runs) instead — decisions are
-// reconstructed lazily from the snapshots (see lazyDec), and the
-// output snapshot doubles as the restart point for partial fold
-// replays (see solveNode).
-type mcStep struct {
+// bpTable is a MinCost table in breakpoint form: for every count e of
+// reused servers (0..dimE) one run row along the count n of new
+// servers (0..dimN), row e being runs[off[e]:off[e+1]]. A cell holds
+// the least load escaping the subtree with exactly e reused and n new
+// servers inside it. Every row obeys the monotone-row contract by
+// theorem (see the package documentation), so it needs no dense form.
+type bpTable struct {
 	dimE, dimN int32
-	decs       []mcDec
-	comp       bool
-	inRuns     []bpRun
+	off        []int32
 	runs       []bpRun
 }
 
-// MinCostSolver solves MinCost-WithPre instances on one tree. Merge
-// intermediates live in a flat arena and every node's final table and
-// reconstruction back-pointers in retained per-node buffers, all grown
-// monotonically to the high-water mark of past solves: after two
-// warm-up solves of an instance shape every further Solve performs no
-// heap allocation (use SolveInto with a caller-owned destination to
-// avoid the result placement allocation too).
+func (t *bpTable) row(e int32) []bpRun { return t.runs[t.off[e]:t.off[e+1]] }
+
+// oneRow is the row offsets of a one-row table (a base cell).
+var oneRow = []int32{0, 1}
+
+// MinCostSolver solves MinCost-WithPre instances on one tree. Every
+// node's fold-step outputs live in retained per-node buffers, grown
+// monotonically to the high-water mark of past solves: once warmed up
+// on an instance shape, a Solve performs no heap allocation (use
+// SolveInto with a caller-owned destination to avoid the result
+// placement allocation too).
 //
 // The retained tables make solves incremental. A solve reuses every
 // cached subtree table whose inputs did not change since the previous
@@ -105,21 +98,13 @@ type MinCostSolver struct {
 	dpDriver[int32]
 	empty *tree.Replicas // stands in for a nil existing set
 
-	// Per node, retained across solves: final table (vals), its
-	// dimensions, and the per-merge decision tables for reconstruction
-	// (steps[j] has exactly one entry per child of j).
-	vals  [][]int32
-	dimE  []int32
-	dimN  []int32
-	steps [][]mcStep
-
-	// Server-count cap for mega trees (see serverCap): table cells
-	// with more than capB new servers are provably never optimal, so
-	// the n dimension of every table is clamped to capB, turning the
-	// O(N²) worst-case merge volume into O(N·capB). 0 means uncapped.
-	capB     int32
-	lastCapB int32
-	escUB    []int32 // scratch for the greedy feasibility pass
+	// Per node, retained across solves: the base cell (the requests of
+	// the node's own clients) and the output table of every fold step
+	// (steps[j] has one entry per child of j). A node's final table is
+	// its last step's output, or its base cell for a leaf; every step's
+	// output is also the next step's input and a fold restart point.
+	base  []bpRun
+	steps [][]bpTable
 
 	// Incremental bookkeeping: the previous solve's pre-existing
 	// membership and capacity.
@@ -159,9 +144,7 @@ func (s *MinCostSolver) Reset(t *tree.Tree) {
 	if s.empty == nil || s.empty.N() != n {
 		s.empty = tree.NewReplicas(n)
 	}
-	s.vals = grownKeep(s.vals, n)
-	s.dimE = grown(s.dimE, n)
-	s.dimN = grown(s.dimN, n)
+	s.base = grown(s.base, n)
 	s.steps = grownKeep(s.steps, n)
 	for j := 0; j < n; j++ {
 		s.steps[j] = grownKeep(s.steps[j], len(t.Children(j)))
@@ -262,8 +245,7 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 
 	s.existing, s.w, s.placement = existing, int32(W), dst
 
-	// Snapshot the mask before anything reads it: updateCap's greedy
-	// feasibility pass must avoid down hosts, and the staleness diff
+	// Snapshot the mask before anything reads it: the staleness diff
 	// below compares against the previous solve's snapshot.
 	s.maskedCnt = 0
 	for j := 0; j < t.N(); j++ {
@@ -273,13 +255,12 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 			s.maskedCnt++
 		}
 	}
-	s.updateCap(c)
 
 	// Decide which cached tables survive: demands via generation
 	// stamps, the pre-existing set and the fault mask by content diff
-	// (see changed), W and the cap (both reshape every table) by full
+	// (see changed), W (which reshapes every table) by full
 	// invalidation. The cost model only prices the root scan below.
-	s.markDirty(s.w != s.lastW || s.capB != s.lastCapB)
+	s.markDirty(s.w != s.lastW)
 	if err := s.run(); err != nil {
 		// Cancelled between checkpoints: the tables rebuilt so far are
 		// exact, and nothing below was committed, so the next solve
@@ -291,7 +272,6 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	// The tables now reflect the current inputs even if the root scan
 	// finds the instance infeasible, so commit before scanning.
 	s.lastW = s.w
-	s.lastCapB = s.capB
 	for j := 0; j < t.N(); j++ {
 		s.lastHas[j] = existing.Has(j)
 		s.lastDown[j] = s.downNow[j]
@@ -307,309 +287,212 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 }
 
 // solveNode rebuilds node j's table from its children's (Algorithms 2
-// and 3) using worker w's arena and scratch.
+// and 3) with worker w's scratch.
 //
 // A dirty node need not re-run its whole child fold: when its own
-// demand is unchanged and the fold prefix up to the first stale child
-// ran compressed last time, the prefix's retained output snapshot is
-// the exact accumulator at that point, so only the fold suffix is
-// re-merged (see dpDriver.foldStart). This is what turns a one-child
-// drift under a high-fanout node from an O(children) re-fold into an
-// O(suffix) one.
+// demand is unchanged, the retained output of the step before the
+// first stale child is the exact accumulator at that point, so only
+// the fold suffix is re-merged (see dpDriver.foldStart). This is what
+// turns a one-child drift under a high-fanout node from an
+// O(children) re-fold into an O(suffix) one.
 func (s *MinCostSolver) solveNode(j, w int) error {
-	ar, sc, ms := &s.arenas[w], &s.bps[w], &s.mstats[w]
+	s.base[j] = bpRun{val: int64(s.t.ClientSum(j))}
 	kids := s.t.Children(j)
-	start := s.foldStart(j, w, kids, nil, true, func(q int) bool { return s.steps[j][q].comp })
-	var acc []int32
-	var accE, accN int32
-	switch {
-	case start < 0:
-		return nil
-	case len(kids) == 0:
-		// A leaf's final table is the single base cell (0,0) holding
-		// the requests of j's own clients (Algorithm 2).
-		s.vals[j] = grown(s.vals[j], 1)
-		s.vals[j][0] = int32(s.t.ClientSum(j))
-	case start == 0:
-		acc = ar.alloc(1)
-		acc[0] = int32(s.t.ClientSum(j))
-	default:
-		prev := &s.steps[j][start-1]
-		accE, accN = prev.dimE, prev.dimN
-		acc = ar.alloc(int(accN) + 1)
-		decodeRuns32(prev.runs, acc, invalid)
+	start := s.foldStart(j, w, kids, nil, true, nil)
+	for st := start; st >= 0 && st < len(kids); st++ {
+		s.merge(j, st, kids[st], &s.bps[w], &s.mstats[w])
 	}
-	for st := start; st < len(kids); st++ {
-		acc, accE, accN = s.merge(j, st, kids[st], acc, accE, accN, st == len(kids)-1, ar, sc, ms)
-	}
-	s.dimE[j], s.dimN[j] = accE, accN
 	return nil
 }
 
-// merge combines the accumulated table of node j (dimensions accE×accN,
-// exclusive upper bounds accE+1 and accN+1 on coordinates) with the
-// final table of child ch — the st-th child of j — considering for
-// every split the option of placing a replica on ch itself (Algorithm
-// 3). The last merge writes straight into j's retained final table;
-// earlier ones use arena intermediates. The new-server dimension is
-// clamped to capB when the cap is active: a dropped cell holds more
-// than capB new servers, its every completion costs more than capB
-// lives... see serverCap for why such cells are never optimal, and
-// note the clamp is monotone (a parent cell at n draws only on child
-// cells at n' <= n), so the kept cells are exact.
-func (s *MinCostSolver) merge(j, st, ch int, acc []int32, accE, accN int32, last bool, ar *arena[int32], sc *bpScratch, ms *mergeStats) ([]int32, int32, int32) {
-	chE, chN := s.dimE[ch], s.dimN[ch]
-	chVals := s.vals[ch]
-	childPre := s.existing.Has(ch)
-	chDown := s.downNow[ch]
+// table returns node j's final table.
+func (s *MinCostSolver) table(j int) bpTable {
+	if st := s.steps[j]; len(st) > 0 {
+		return st[len(st)-1]
+	}
+	return s.stepIn(j, 0)
+}
 
-	outE := accE + chE
-	outN := accN + chN
+// stepIn returns the accumulated table entering fold step st of node
+// j: the base cell for the first step, the previous step's output
+// otherwise.
+func (s *MinCostSolver) stepIn(j, st int) bpTable {
+	if st > 0 {
+		return s.steps[j][st-1]
+	}
+	return bpTable{off: oneRow, runs: s.base[j : j+1]}
+}
+
+// merge runs fold step st of node j: it combines the accumulated table
+// with the final table of child ch, considering for every split the
+// option of placing a replica on ch itself (Algorithm 3), and writes
+// the step's retained output. Output row r folds every pair of an acc
+// row ea and a child row ec = r-ea on runs, under the load cap W:
+//
+//   - a live new child adds bpPlaceMerge (the min-plus convolution,
+//     plus equipping the child one cell past its first feasible one);
+//   - a live pre-existing child adds bpConv, and equipping it adds acc
+//     row ea, shifted to child row r-ea-1's first feasible cell;
+//   - a down child cannot host a replica and adds bpConv only.
+//
+// Each row holds at most W+1 runs whatever its width, so the step
+// costs a function of run counts, not of the dense table size.
+func (s *MinCostSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
+	acc, c := s.stepIn(j, st), s.table(ch)
+	pre, down := s.existing.Has(ch), s.downNow[ch]
+	out := &s.steps[j][st]
+	out.dimE, out.dimN = acc.dimE+c.dimE, acc.dimN+c.dimN
 	switch {
-	case chDown:
-		// A down child cannot host a replica, so the place option is
-		// dropped and neither axis grows on its account.
-	case childPre:
-		outE++
+	case down:
+		// The place option is dropped and neither axis grows.
+	case pre:
+		out.dimE++
 	default:
-		outN++
+		out.dimN++
 	}
-	if b := s.capB; b > 0 && outN > b {
-		outN = b
-	}
-	cells := int(outE+1) * int(outN+1)
-	var out []int32
-	if last {
-		s.vals[j] = grown(s.vals[j], cells)
-		out = s.vals[j]
-	} else {
-		out = ar.alloc(cells)
-	}
-	step := &s.steps[j][st]
-	step.dimE, step.dimN = outE, outN
-	// Wide single-row merges (no pre-existing axis on either side, live
-	// child — the breakpoint kernel always folds the place option) run
-	// on breakpoints; everything else takes the dense kernel below.
-	if accE == 0 && chE == 0 && !childPre && !chDown && int(outN)+1 >= minDenseWidth &&
-		s.mergeCompressed(step, acc, chVals, out, accN, chN, outN, sc, ms) {
-		return out, outE, outN
-	}
-	step.comp = false
-	ms.cells += int(accE+1) * int(accN+1) * int(chE+1) * int(chN+1)
-	for i := range out {
-		out[i] = invalid
-	}
-	// Stale decision cells are never read: the reconstruction only
-	// follows cells whose value was written when the table was last
-	// rebuilt, and every value write refreshes its decision.
-	step.decs = grown(step.decs, cells)
-	decs := step.decs
-	ostride := outN + 1
-
-	update := func(e, n, v int32, dec mcDec) {
-		if n > outN { // beyond the server-count cap; never optimal
-			return
-		}
-		idx := e*ostride + n
-		if out[idx] == invalid || v < out[idx] {
-			out[idx] = v
-			decs[idx] = dec
-		}
-	}
-
-	for e := int32(0); e <= accE; e++ {
-		for n := int32(0); n <= accN; n++ {
-			a := acc[e*(accN+1)+n]
-			if a == invalid {
+	w := int64(s.w)
+	out.off, out.runs = append(out.off[:0], 0), out.runs[:0]
+	row, spare := sc.acc[:0], sc.tmp[:0]
+	for r := int32(0); r <= out.dimE; r++ {
+		row = row[:0]
+		for ea := max(0, r-c.dimE-1); ea <= min(acc.dimE, r); ea++ {
+			a := acc.row(ea)
+			if len(a) == 0 {
 				continue
 			}
-			dec := mcDec{ePrev: e, nPrev: n}
-			decP := mcDec{ePrev: e, nPrev: n, place: true}
-			// Past outN - n every cell this child row could write lies
-			// beyond the cap; skipping the range outright (rather than
-			// letting update reject cell by cell) halves the work of
-			// the capB-wide merges at the top of a mega tree.
-			ncHi := chN
-			if lim := outN - n; lim < ncHi {
-				ncHi = lim
+			if ec := r - ea; ec <= c.dimE {
+				if b := c.row(ec); len(b) > 0 {
+					ms.cells += len(a) + len(b)
+					ms.rows += 2
+					var f []bpRun
+					if pre || down {
+						f = bpConv(a, b, w, out.dimN, sc)
+					} else {
+						f = bpPlaceMerge(a, b, w, out.dimN, sc)
+					}
+					row, spare = envMinInto(row, f, spare)
+				}
 			}
-			for ec := int32(0); ec <= chE; ec++ {
-				for nc := int32(0); nc <= ncHi; nc++ {
-					cv := chVals[ec*(chN+1)+nc]
-					if cv == invalid {
-						continue
-					}
-					// No replica on ch: its traversing requests join ours
-					// and must still fit one upstream server.
-					if a+cv <= s.w {
-						update(e+ec, n+nc, a+cv, dec)
-					}
-					// Replica on ch absorbs cv (cv <= W by construction),
-					// unless the fault mask holds ch down.
-					switch {
-					case chDown:
-					case childPre:
-						update(e+ec+1, n+nc, a, decP)
-					default:
-						update(e+ec, n+nc+1, a, decP)
-					}
+			if pre && !down && r > ea {
+				if b := c.row(r - ea - 1); len(b) > 0 {
+					sh := bpShift(a, b[0].start, out.dimN, sc.ch)
+					row, spare = envMinInto(row, sh, spare)
+					sc.ch = sh[:0]
 				}
 			}
 		}
+		out.runs = append(out.runs, row...)
+		out.off = append(out.off, int32(len(out.runs)))
 	}
-
-	return out, outE, outN
+	sc.acc, sc.tmp = row[:0], spare[:0]
 }
 
-// mergeCompressed runs one fold step on breakpoints: encode both input
-// rows, fold them with bpPlaceMerge, decode into the dense output row.
-// The dense tables around the kernel are untouched — children are read
-// dense, the output lands dense — so the root scan, the incremental
-// bookkeeping and the parallel pass see exactly the representation
-// they always did. Returns false (leaving out unwritten) when either
-// input row fails the monotone-contract check, which sends the caller
-// to the dense kernel; compression is therefore exact unconditionally.
-func (s *MinCostSolver) mergeCompressed(step *mcStep, acc, chVals, out []int32, accN, chN, outN int32, sc *bpScratch, ms *mergeStats) bool {
-	aRuns, okA := encodeRuns32(acc[:accN+1], invalid, sc.acc)
-	sc.acc = aRuns
-	if !okA {
-		return false
-	}
-	cRuns, okC := encodeRuns32(chVals[:chN+1], invalid, sc.ch)
-	sc.ch = cRuns
-	if !okC {
-		return false
-	}
-	ms.cells += len(aRuns) + len(cRuns)
-	ms.rows += 2
-	var res []bpRun
-	if len(aRuns) > 0 && len(cRuns) > 0 {
-		res = bpPlaceMerge(aRuns, cRuns, int64(s.w), outN, sc)
-	}
-	step.comp = true
-	step.inRuns = append(step.inRuns[:0], aRuns...)
-	step.runs = append(step.runs[:0], res...)
-	decodeRuns32(res, out[:outN+1], invalid)
-	return true
-}
-
-// lazyDec reconstructs the decision of cell (0, k) of compressed step
-// st of node j: the decision the dense kernel would have recorded. The
-// dense merge writes cells in acc-coordinate order (n1 ascending; for
-// equal n1 the place option lands before the no-place option, its
-// child coordinate being one smaller) and only overwrites on a strict
-// improvement, so the recorded decision is the first candidate in that
-// order achieving the cell's final value. The snapshots make that
-// candidate directly computable: acc runs partition n1 into disjoint
-// ascending intervals, every candidate from a run with value above the
-// cell's is beaten, and within a run the matching child cells form one
-// interval of the (monotone, still retained) dense child row.
-func (s *MinCostSolver) lazyDec(j, st int, step *mcStep, ch int, k int32) mcDec {
-	v := bpAt(step.runs, k)
+// decide reconstructs the decision behind cell (e, n) of fold step st
+// of node j, the one a dense scan of the merge would have recorded:
+// the acc cell (ea, na) it came from and whether the child is
+// equipped. The dense scan visits acc cells in ascending (e, n) order,
+// and for each the place option before the no-place option (the
+// child cell it uses is one smaller along e or n), and overwrites only
+// on a strict improvement; so the decision is the first candidate in
+// that order achieving the cell's final value v. The runs make it
+// directly computable: every candidate from an acc run above v is
+// beaten, and within a run the matching child cells form one interval
+// of a monotone child row.
+func (s *MinCostSolver) decide(j, st, ch int, e, n int32) (ea, na int32, place bool) {
+	out := s.steps[j][st]
+	v := bpAt(out.row(e), n)
 	if v >= bpInfVal {
-		panic(fmt.Sprintf("core: reconstruction reached infeasible cell (0,%d) at node %d", k, j))
+		panic(fmt.Sprintf("core: reconstruction reached infeasible cell (%d,%d) at node %d", e, n, j))
 	}
-	chVals := s.vals[ch]
-	chN := s.dimN[ch]
-	cFirst := firstFeasible32(chVals[:chN+1])
-	accN := int32(0)
-	if st > 0 {
-		accN = s.steps[j][st-1].dimN
+	acc, c := s.stepIn(j, st), s.table(ch)
+	pre, down := s.existing.Has(ch), s.downNow[ch]
+	// Equipping reaches (e, n) from child row pe at cell n-na-pn.
+	pe, pn := e, int32(1)
+	if pre {
+		pe, pn = e-1, 0
 	}
-	noPlaceOK := v <= int64(s.w)
-	inRuns := step.inRuns
-	for p := range inRuns {
-		rs, va := inRuns[p].start, inRuns[p].val
-		if va > v {
-			continue // every candidate of this run is beaten
+	for ea = max(0, e-c.dimE-1); ea <= min(acc.dimE, e); ea++ {
+		var pRow, nRow []bpRun
+		if ec := pe - ea; !down && ec >= 0 && ec <= c.dimE {
+			pRow = c.row(ec)
 		}
-		re := accN
-		if p+1 < len(inRuns) {
-			re = inRuns[p+1].start - 1
+		if ec := e - ea; ec <= c.dimE {
+			nRow = c.row(ec)
 		}
-		// Earliest n1 in [rs, re] whose place option hits k: the child
-		// cell k-1-n1 must be feasible (within [cFirst, chN]).
-		n1p := int32(-1)
-		if va == v {
-			if lo, hi := max(rs, k-1-chN), min(re, k-1-cFirst); lo <= hi {
-				n1p = lo
+		a := acc.row(ea)
+		for p := range a {
+			rs, va := a[p].start, a[p].val
+			if va > v {
+				continue
 			}
-		}
-		// Earliest n1 whose no-place option hits k with the final
-		// value: the child cell k-n1 must hold exactly v-va.
-		n1n := int32(-1)
-		if noPlaceOK {
-			if cl, cr, ok := valueRun32(chVals, cFirst, chN, int32(v-va)); ok {
-				if lo, hi := max(rs, k-cr), min(re, k-cl); lo <= hi {
+			re := acc.dimN
+			if p+1 < len(a) {
+				re = a[p+1].start - 1
+			}
+			// Earliest na in [rs, re] whose place option hits n: the
+			// child cell n-na-pn must be feasible.
+			n1p := int32(-1)
+			if va == v && len(pRow) > 0 {
+				if lo, hi := max(rs, n-pn-c.dimN), min(re, n-pn-pRow[0].start); lo <= hi {
+					n1p = lo
+				}
+			}
+			// Earliest na whose no-place option hits n with the final
+			// value: the child cell n-na must hold exactly v-va.
+			n1n := int32(-1)
+			if cl, cr, ok := runSpan(nRow, v-va, c.dimN); ok {
+				if lo, hi := max(rs, n-cr), min(re, n-cl); lo <= hi {
 					n1n = lo
 				}
 			}
+			switch {
+			case n1p >= 0 && (n1n < 0 || n1p <= n1n):
+				return ea, n1p, true
+			case n1n >= 0:
+				return ea, n1n, false
+			}
+			// Later runs hold strictly larger na, so the first run with
+			// any candidate owns the decision; keep scanning only on none.
 		}
+	}
+	panic(fmt.Sprintf("core: no decision for cell (%d,%d) at node %d step %d", e, n, j, st))
+}
+
+// runSpan locates the cell interval [cl, cr] of a run row ending at
+// cell last that holds exactly value x.
+func runSpan(row []bpRun, x int64, last int32) (cl, cr int32, ok bool) {
+	for p := range row {
 		switch {
-		case n1p >= 0 && (n1n < 0 || n1p <= n1n):
-			return mcDec{nPrev: n1p, place: true}
-		case n1n >= 0:
-			return mcDec{nPrev: n1n}
+		case row[p].val == x:
+			cr = last
+			if p+1 < len(row) {
+				cr = row[p+1].start - 1
+			}
+			return row[p].start, cr, true
+		case row[p].val < x:
+			return 0, 0, false
 		}
-		// Later runs hold strictly larger n1, so the first run with any
-		// candidate owns the decision; keep scanning only on none.
 	}
-	panic(fmt.Sprintf("core: no decision for cell (0,%d) at node %d step %d", k, j, st))
+	return 0, 0, false
 }
 
-// firstFeasible32 returns the index of the first non-invalid cell of a
-// monotone row (its length when the whole row is infeasible).
-func firstFeasible32(row []int32) int32 {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] == invalid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// valueRun32 locates the cell interval [cl, cr] of a monotone row
-// holding exactly value v, searching the feasible region [first, last].
-func valueRun32(row []int32, first, last, v int32) (cl, cr int32, ok bool) {
-	lo, hi := first, last+1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if row[mid] <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo > last || row[lo] != v {
-		return 0, 0, false
-	}
-	cl = lo
-	hi = last + 1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if row[mid] < v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return cl, lo - 1, true
-}
-
-// scanRoot evaluates every root-table cell with and without a replica on
-// the root itself (Algorithm 4) and reconstructs the cheapest solution.
-// In addition to the paper's branches, a pre-existing root may be kept
-// as a server even when minr = 0, which is cheaper whenever delete > 1.
+// scanRoot evaluates the root table with and without a replica on the
+// root itself (Algorithm 4) and reconstructs the cheapest solution. In
+// addition to the paper's branches, a pre-existing root may be kept as
+// a server even when minr = 0, which is cheaper whenever delete > 1.
+//
+// Along a row the cost strictly rises with n (one more new server), so
+// only two cells of a row can win: its first feasible cell, with the
+// root equipped, and its first zero-load cell, without. They are
+// considered in the order of a dense scan (e, then n, ascending; for
+// one cell the unequipped option first), which keeps its first-found
+// tie-breaks.
 func (s *MinCostSolver) scanRoot(c cost.Simple) (MinCostResult, error) {
 	r := s.t.Root()
 	E := s.existing.Count()
 	rootPre := s.existing.Has(r)
-	dimE, dimN := s.dimE[r], s.dimN[r]
-	vals := s.vals[r]
+	rootUp := !s.downNow[r]
+	tab := s.table(r)
 
 	bestCost := math.Inf(1)
 	bestE, bestN := int32(-1), int32(-1)
@@ -633,19 +516,21 @@ func (s *MinCostSolver) scanRoot(c cost.Simple) (MinCostResult, error) {
 		}
 	}
 
-	rootUp := !s.downNow[r]
-	for e := int32(0); e <= dimE; e++ {
-		for n := int32(0); n <= dimN; n++ {
-			v := vals[e*(dimN+1)+n]
-			if v == invalid {
-				continue
-			}
-			if v == 0 {
-				consider(e, n, false)
-			}
-			if v <= s.w && rootUp {
-				consider(e, n, true)
-			}
+	for e := int32(0); e <= tab.dimE; e++ {
+		row := tab.row(e)
+		if len(row) == 0 {
+			continue
+		}
+		first, last := row[0].start, row[len(row)-1]
+		zero := last.val == 0
+		if zero && last.start == first {
+			consider(e, first, false)
+		}
+		if rootUp {
+			consider(e, first, true)
+		}
+		if zero && last.start > first {
+			consider(e, last.start, false)
 		}
 	}
 	if bestE < 0 {
@@ -665,138 +550,15 @@ func (s *MinCostSolver) scanRoot(c cost.Simple) (MinCostResult, error) {
 	}, nil
 }
 
-// minCapNodes is the tree size from which the server-count cap
-// activates. Paper-scale instances (tens to hundreds of nodes) run
-// uncapped — their tables are small and the cap would only add a cache
-// dimension — while mega trees need it: uncapped, the n dimension of a
-// table grows with the subtree size and the total merge volume is
-// O(N²). It is a variable so tests can lower it to cross-check capped
-// against uncapped solves on small trees.
-var minCapNodes = 4096
-
-// updateCap maintains capB, the clamp on the new-server dimension of
-// every table. Correctness: serverCap returns the server count of a
-// concrete feasible placement, so with non-negative prices (enforced
-// by cost.Simple.Validate) the optimum costs at most
-// costUB = c.Of(ub, 0, E) — reused servers only lower the cost. Any
-// table cell with n new servers completes only to solutions with at
-// least n new servers, each costing at least n; for n > capB >=
-// floor(costUB) that is strictly more than costUB >= bestCost, so no
-// dropped cell can be optimal or even tie the optimum: values,
-// placements and tie-breaks are identical to the uncapped program.
-//
-// The cap is part of every table's shape, so changing it forces a full
-// recompute (SolveInto treats capB like W). To keep cost sweeps and
-// demand drift from thrashing the cache, the cap is sticky: it only
-// ever grows, and any growth is by at least a 9/8 factor, bounding the
-// number of reshapes over any sweep by log_{9/8} of the range — a cap
-// larger than the current bound stays exact, just less tight. The cap
-// is otherwise kept exact rather than rounded up: the merges above the
-// cap's activation depth cost O(capB²), so a 2× rounding slack (the
-// old next-power-of-two policy) made the top of a mega tree ~4× more
-// expensive than the bound justifies.
-func (s *MinCostSolver) updateCap(c cost.Simple) {
-	if s.t.N() < minCapNodes {
-		s.capB = 0
-		return
-	}
-	ub, ok := s.serverCap()
-	if !ok {
-		// The greedy pass found no feasible placement under the mask, so
-		// there is no sound upper bound; run uncapped. The sticky-growth
-		// rule is bypassed on purpose: a retained cap derived from an
-		// earlier (differently masked) instance may under-bound this one.
-		s.capB = 0
-		return
-	}
-	costUB := c.Of(ub, 0, s.existing.Count())
-	b := int32(math.MaxInt32 / 4)
-	if costUB < float64(b) {
-		b = int32(costUB)
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b <= s.capB {
-		return
-	}
-	if min := s.capB + (s.capB+7)/8; b < min {
-		b = min
-	}
-	s.capB = b
-}
-
-// serverCap returns the server count of a concrete feasible placement,
-// built by an O(N) greedy pass: climbing bottom-up, each node
-// accumulates the demand escaping its children and equips any child
-// whose escaped demand no longer fits the running total, then the root
-// is equipped if demand still escapes. By induction every escaped
-// demand is at most W (the base case is MaxClientSum <= W, checked
-// before solving), so under the closest policy every equipped node
-// carries at most W and the placement is valid — making the count an
-// upper bound on the optimal server count.
-//
-// Under a fault mask the greedy pass must not equip down nodes: their
-// escaped demand is carried upward instead, which can break the
-// induction (a carried pile may exceed W with no live host below it).
-// ok reports whether the placement stayed feasible; a false return
-// means the pass proves nothing and the caller must run uncapped.
-// Without a mask ok is always true and the count is byte-identical to
-// the pre-mask pass.
-func (s *MinCostSolver) serverCap() (cnt int, ok bool) {
-	t := s.t
-	s.escUB = grown(s.escUB, t.N())
-	esc := s.escUB
-	ok = true
-	for _, j := range t.PostOrder() {
-		e := int32(t.ClientSum(j))
-		for _, c := range t.Children(j) {
-			if e+esc[c] > s.w && !s.downNow[c] && esc[c] <= s.w {
-				cnt++
-			} else {
-				e += esc[c]
-			}
-		}
-		if e > s.w {
-			// Only reachable under a mask: a down child's overflow was
-			// forcibly carried here and j cannot absorb it either (an
-			// equipped closest-policy server takes everything passing
-			// through, so equipping j would carry e > W).
-			ok = false
-		}
-		esc[j] = e
-	}
-	if esc[t.Root()] > 0 {
-		if s.downNow[t.Root()] {
-			ok = false
-		} else {
-			cnt++
-		}
-	}
-	return cnt, ok
-}
-
 // rebuild unwinds the merge decisions of node j for target cell (e, n),
 // equipping children along the way and recursing into their subtrees.
 func (s *MinCostSolver) rebuild(j int, e, n int32) {
-	steps := s.steps[j]
 	kids := s.t.Children(j)
-	for st := len(steps) - 1; st >= 0; st-- {
-		step := &steps[st]
+	for st := len(kids) - 1; st >= 0; st-- {
 		ch := kids[st]
-		var dec mcDec
-		if step.comp {
-			// Compressed steps have no e axis; reaching one with e != 0
-			// would mean the shape bookkeeping is broken.
-			if e != 0 {
-				panic(fmt.Sprintf("core: compressed step with e=%d at node %d", e, j))
-			}
-			dec = s.lazyDec(j, st, step, ch, n)
-		} else {
-			dec = step.decs[e*(step.dimN+1)+n]
-		}
-		ce, cn := e-dec.ePrev, n-dec.nPrev
-		if dec.place {
+		ea, na, place := s.decide(j, st, ch, e, n)
+		ce, cn := e-ea, n-na
+		if place {
 			s.placement.Set(ch, 1)
 			if s.existing.Has(ch) {
 				ce--
@@ -805,7 +567,7 @@ func (s *MinCostSolver) rebuild(j int, e, n int32) {
 			}
 		}
 		s.rebuild(ch, ce, cn)
-		e, n = dec.ePrev, dec.nPrev
+		e, n = ea, na
 	}
 	if e != 0 || n != 0 {
 		panic(fmt.Sprintf("core: reconstruction reached invalid base (%d,%d) at node %d", e, n, j))

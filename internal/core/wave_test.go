@@ -229,15 +229,11 @@ func TestParallelPowerWideStar(t *testing.T) {
 	checkPowerWaves(t, tr, PowerProblem{Existing: ex, Power: pm, Cost: cm}, 1, nil)
 }
 
-// TestMinCostServerCapDifferential lowers the cap activation threshold
-// so a paper-sized instance solves with an active new-server cap, and
-// cross-checks it against the uncapped program: the cap must be
-// invisible — same cost, same server split, same placement — cold and
-// across drift steps (where cap stickiness keeps the cache warm).
-func TestMinCostServerCapDifferential(t *testing.T) {
-	saved := minCapNodes
-	defer func() { minCapNodes = saved }()
-
+// TestMinCostWithPreWorkersMatchDense solves a 300-node instance with
+// 60 pre-existing servers through solvers at one and four workers,
+// cold and across drift steps, and checks both against the dense
+// reference: same cost, same server split, same placement.
+func TestMinCostWithPreWorkersMatchDense(t *testing.T) {
 	src := rng.New(93)
 	tr := tree.MustGenerate(tree.FatConfig(300), src)
 	existing, err := tree.RandomReplicas(tr, 60, 1, src)
@@ -245,43 +241,31 @@ func TestMinCostServerCapDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cost.Simple{Create: 0.1, Delete: 0.01}
-
-	minCapNodes = 50
-	capped := NewMinCostSolver(tr)
-	dstCap := tree.ReplicasOf(tr)
-	minCapNodes = 1 << 30
-	uncapped := NewMinCostSolver(tr)
-	dstUn := tree.ReplicasOf(tr)
-
+	solvers := []*MinCostSolver{NewMinCostSolver(tr), NewMinCostSolver(tr)}
+	solvers[1].SetWorkers(4)
+	defer solvers[1].SetWorkers(1)
+	dst := tree.ReplicasOf(tr)
 	for step := 0; step < 4; step++ {
 		if step > 0 {
 			driftSome(tr, step)
 		}
-		minCapNodes = 50
-		got, err := capped.SolveInto(existing, 10, c, dstCap)
+		_, want, err := solveDense(tr, existing, nil, 10, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if capped.capB <= 0 {
-			t.Fatal("cap did not activate")
+		for k, s := range solvers {
+			got, err := s.SolveInto(existing, 10, c, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cost != want.Cost || got.Servers != want.Servers || got.Reused != want.Reused {
+				t.Fatalf("step=%d solver %d: (%v, %d, %d), dense (%v, %d, %d)",
+					step, k, got.Cost, got.Servers, got.Reused, want.Cost, want.Servers, want.Reused)
+			}
+			if !samePlacement(tr.N(), dst, want.Placement) {
+				t.Fatalf("step=%d solver %d: placement differs from the dense reference", step, k)
+			}
 		}
-		minCapNodes = 1 << 30
-		want, err := uncapped.SolveInto(existing, 10, c, dstUn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cost != want.Cost || got.Servers != want.Servers || got.Reused != want.Reused {
-			t.Fatalf("step=%d: capped (%v, %d, %d), uncapped (%v, %d, %d)",
-				step, got.Cost, got.Servers, got.Reused, want.Cost, want.Servers, want.Reused)
-		}
-		if !samePlacement(tr.N(), dstCap, dstUn) {
-			t.Fatalf("step=%d: placements differ under the cap", step)
-		}
-	}
-	// The cap must actually clamp some table: the optimum uses far
-	// fewer servers than the node count, so capB stays well below it.
-	if int(capped.capB) >= tr.N() {
-		t.Fatalf("capB = %d does not clamp a %d-node tree", capped.capB, tr.N())
 	}
 }
 
