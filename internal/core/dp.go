@@ -205,8 +205,7 @@ func (d *dpDriver[T]) commit() {
 // foldStart returns the first fold step of dirty node j whose retained
 // output is stale, or -1 when nothing the table depends on changed (it
 // was dirtied spuriously and stays as is). A step is stale when its
-// child is (see stale); order maps fold positions to child positions
-// (nil: natural order). baseDemand says whether the fold's base cell
+// child is (see stale). baseDemand says whether the fold's base cell
 // holds j's own demand, in which case a demand change restarts at 0.
 // Restarting at s > 0 needs a retained accumulator after step s-1;
 // snap reports whether step s-1 kept one (nil: every step does), and
@@ -215,16 +214,12 @@ func (d *dpDriver[T]) commit() {
 //
 // The retained prefix stays exact by induction: any input change to a
 // prefix step makes that step stale and moves the restart before it.
-func (d *dpDriver[T]) foldStart(j, w int, kids, order []int, baseDemand bool, snap func(q int) bool) int {
+func (d *dpDriver[T]) foldStart(j, w int, kids []int, baseDemand bool, snap func(q int) bool) int {
 	if d.fullSolve || baseDemand && d.t.DemandGen(j) != d.seen[j] {
 		return 0
 	}
 	start := len(kids)
-	for q := range kids {
-		ch := kids[q]
-		if order != nil {
-			ch = kids[order[q]]
-		}
+	for q, ch := range kids {
 		if d.stale(ch) {
 			start = q
 			break

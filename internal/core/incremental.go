@@ -78,20 +78,21 @@ type SolveStats struct {
 	// that were reused from the previous solve instead of re-merged:
 	// 0 on a cold solve, the number of root children when the whole
 	// fold was skipped, and the length of the still-exact fold prefix
-	// on a partial replay. The volatility-ordered fold (see
-	// PowerDP.Reset) exists to push this number up. Stays 0 for
-	// MinCostSolver and QoSSolver.
+	// on a partial replay (a change under the q-th root child keeps q
+	// steps). Stays 0 for MinCostSolver and QoSSolver.
 	RootMergeRetained int
 	// MergeCellsScanned measures the merge work of the solve: the
 	// (accumulated cell, child cell) pairs dense merge kernels evaluate
 	// (PowerDP's only pairs of reached cells) plus the breakpoint runs
-	// compressed ones visit. Comparing it against the dense-only volume
-	// of a cold solve is the direct read on what row compression saves.
+	// the run kernels visit. MinCostSolver runs every merge on runs,
+	// so its count is the sum, over the (acc row, child row) pairs its
+	// merges fold, of the two rows' run counts.
 	MergeCellsScanned int
 	// RowsCompressed counts the DP rows the merge kernels ran in
-	// breakpoint form instead of densely (two rows — accumulator and
-	// child — per compressed merge step). 0 when every row sat below
-	// the activation width minDenseWidth.
+	// breakpoint form instead of densely, two (accumulator and child)
+	// per folded row pair. For MinCostSolver that is every merged row
+	// pair; QoSSolver and PowerDP count only rows at least
+	// minDenseWidth wide.
 	RowsCompressed int
 	// FoldSuffixReplayed counts the merge steps re-executed by partial
 	// child-fold replays: a dirty node whose first stale child sits at

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -46,10 +45,9 @@ type ParetoPoint struct {
 // a PowerDP borrows that solver's scratch and stays valid only until
 // the next PowerDP.Solve call.
 type PowerSolver struct {
-	prob      PowerProblem
-	front     []frontEntry // ascending cost, strictly descending power
-	steps     [][]pStep    // reconstruction back-pointers per node
-	rootOrder []int        // root fold position -> child position
+	prob  PowerProblem
+	front []frontEntry // ascending cost, strictly descending power
+	steps [][]pStep    // reconstruction back-pointers per node
 }
 
 type frontEntry struct {
@@ -206,12 +204,7 @@ type PowerDP struct {
 	coords []int32
 	cs, ps []float64
 
-	// Volatility-ordered root fold (minpower_root.go): how often each
-	// root child's subtree was observed changed since the last Reset,
-	// the fold order derived from those counts, and how many fold steps
-	// the last solve reused.
-	volCount     []int64
-	rootOrder    []int // fold position -> child position
+	// How many root fold steps the last solve reused.
 	rootRetained int
 
 	cands []frontEntry // root-scan candidates, high-water reused
@@ -252,29 +245,6 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 	K := len(t.Children(t.Root()))
 	d.rootSteps = grownKeep(d.rootSteps, K)
 
-	// Volatility-ordered root fold: rebind-time is the one moment the
-	// fold order may change (every retained root step is invalid anyway),
-	// so sort the children by how often their subtrees were observed
-	// changed since the last Reset, coldest first. The churning child
-	// then sits late in the fold and the retained-prefix restart of
-	// runRoot skips the stable majority. Reordering cannot change the
-	// front: the merge fold is commutative and associative on table
-	// values (a min-plus convolution over disjoint count coordinates),
-	// so only the provenance path differs — and reconstruction follows
-	// the same order via PowerSolver.rootOrder.
-	d.rootOrder = grown(d.rootOrder, K)
-	for i := range d.rootOrder {
-		d.rootOrder[i] = i
-	}
-	if K == len(d.volCount) { // the counts describe this root's children
-		slices.SortStableFunc(d.rootOrder, func(a, b int) int {
-			return cmp.Compare(d.volCount[a], d.volCount[b])
-		})
-	}
-	d.volCount = grown(d.volCount, K)
-	for i := range d.volCount {
-		d.volCount[i] = 0
-	}
 	d.bind(t)
 }
 
@@ -387,7 +357,7 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 	if len(d.front) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrInfeasible)
 	}
-	d.sol = PowerSolver{prob: p, front: d.front, steps: d.steps, rootOrder: d.rootOrder}
+	d.sol = PowerSolver{prob: p, front: d.front, steps: d.steps}
 	return &d.sol, nil
 }
 
@@ -421,19 +391,19 @@ func (d *PowerDP) solveNode(j, w int) error {
 // fold re-runs the child fold of dirty node j on worker w from its
 // first stale step (see dpDriver.foldStart) and returns that step, or
 // -1 when the retained table is still exact. The root (root == true)
-// folds its children in rootOrder and retains every partial merge in
-// rootSteps as a full table, so any step can restart it; elsewhere the
+// retains every partial merge in rootSteps as a full table, so any
+// step can restart it; elsewhere the
 // fold restarts mid-way only from a compressed step's snapshot, and
 // intermediates live in the worker's arena.
 func (d *PowerDP) fold(j, w int, root bool) (int, error) {
 	t := d.t
 	ar, sc, ms := &d.arenas[w], &d.bps[w], &d.mstats[w]
 	kids := t.Children(j)
-	order, snap := []int(nil), func(q int) bool { return d.steps[j][q].comp }
+	snap := func(q int) bool { return d.steps[j][q].comp }
 	if root {
-		order, snap = d.rootOrder, nil
+		snap = nil
 	}
-	start := d.foldStart(j, w, kids, order, true, snap)
+	start := d.foldStart(j, w, kids, true, snap)
 	if start < 0 {
 		return start, nil
 	}
@@ -488,7 +458,6 @@ func (d *PowerDP) fold(j, w int, root bool) (int, error) {
 	}
 
 	for q := start; q < len(kids); q++ {
-		st := q
 		var dst *[]int32 // nil: an arena intermediate
 		if q == len(kids)-1 {
 			dst = &d.vals[j]
@@ -499,13 +468,12 @@ func (d *PowerDP) fold(j, w int, root bool) (int, error) {
 			if err := d.cancel.err(); err != nil {
 				return start, err
 			}
-			st = d.rootOrder[q]
 			if dst == nil {
 				dst = &d.rootSteps[q].out
 			}
 		}
 		var err error
-		if acc, accShape, err = d.merge(j, st, kids[st], acc, accShape, &accNew, accPre, dst, ar, sc, ms); err != nil {
+		if acc, accShape, err = d.merge(j, q, kids[q], acc, accShape, &accNew, accPre, dst, ar, sc, ms); err != nil {
 			return start, err
 		}
 		if root && q < len(kids)-1 {
@@ -764,17 +732,11 @@ func (s *PowerSolver) reconstruct(f frontEntry, dst *tree.Replicas) PowerResult 
 }
 
 // rebuild unwinds the merge decisions of node j for the given flat
-// cell, in reverse fold order — which at the root may be the
-// volatility-derived permutation rather than child order.
+// cell, in reverse fold order.
 func (s *PowerSolver) rebuild(j int, cell int32, placement *tree.Replicas) {
 	steps := s.steps[j]
 	kids := s.prob.Tree.Children(j)
-	atRoot := len(s.rootOrder) == len(steps) && len(steps) > 0 && j == s.prob.Tree.Root()
-	for q := len(steps) - 1; q >= 0; q-- {
-		st := q
-		if atRoot {
-			st = s.rootOrder[q]
-		}
+	for st := len(steps) - 1; st >= 0; st-- {
 		var p uint64
 		if steps[st].comp {
 			// Compressed merges materialise no provenance table; derive

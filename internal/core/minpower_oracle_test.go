@@ -67,11 +67,10 @@ type oracleTally struct {
 	steps     int // dense merge steps compared cell for cell
 	leafKids  int // of which merged a leaf child
 	modeMOnly int // of which had reached child cells only mode M carries
-	permuted  int // solves whose root fold order was not the child order
 }
 
 // checkDenseMerges re-folds every internal node of d's last solve in
-// its fold order, running each merge step through mergeInto and
+// child order, running each merge step through mergeInto and
 // through denseMergeOracle on identical inputs. It compares the merged
 // values cell for cell on every step, provenance and the work count on
 // every dense step, and the re-folded final table with the solve's.
@@ -94,12 +93,7 @@ func checkDenseMerges(t *testing.T, d *PowerDP, label string, tally *oracleTally
 			t.Fatal(err)
 		}
 		acc := []int32{int32(tr.ClientSum(j))}
-		for q := range kids {
-			st := q
-			if j == tr.Root() {
-				st = d.rootOrder[q]
-			}
-			ch := kids[st]
+		for st, ch := range kids {
 			outNew, outPre, outShape, err := d.childDims(ch, accNew, accPre, &ar)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +105,7 @@ func checkDenseMerges(t *testing.T, d *PowerDP, label string, tally *oracleTally
 			var ms mergeStats
 			d.mergeInto(j, st, ch, acc, accShape, outShape, got, &ar, &sc, &ms)
 			step := &d.steps[j][st]
-			where := fmt.Sprintf("%s: node %d step %d (child %d)", label, j, q, ch)
+			where := fmt.Sprintf("%s: node %d step %d (child %d)", label, j, st, ch)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: out[%d] = %d, oracle %d", where, i, got[i], want[i])
@@ -173,8 +167,8 @@ func oracleChain(src *rng.Source, n, maxReq int) *tree.Tree {
 // or placement digest pins) and the evaluated-pair count. It covers one
 // to three modes, fat and high trees with and without pre-existing
 // servers, fanout-1 chains, leaf children, child tables whose reached
-// values only mode M can carry, incremental re-solves and a permuted
-// root fold.
+// values only mode M can carry, incremental re-solves and a solve
+// after a Reset.
 func TestDenseMergeMatchesOracle(t *testing.T) {
 	models := []power.Model{
 		power.MustNew([]int{10}, 12.5, 3),
@@ -209,14 +203,8 @@ func TestDenseMergeMatchesOracle(t *testing.T) {
 				switch step {
 				case 1: // an incremental re-solve after demand edits
 					driftClients(tr, 2, src)
-				case 2: // a Reset that may reorder the root fold
+				case 2: // a Reset, then a cold solve through the same buffers
 					dp.Reset(tr)
-					for q, pos := range dp.rootOrder {
-						if q != pos {
-							tally.permuted++
-							break
-						}
-					}
 				}
 				if _, err := dp.Solve(prob); err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -224,7 +212,7 @@ func TestDenseMergeMatchesOracle(t *testing.T) {
 				checkDenseMerges(t, dp, label, &tally)
 			}
 		}
-		if tally.steps == 0 || tally.leafKids == 0 || tally.permuted == 0 || M > 1 && tally.modeMOnly == 0 {
+		if tally.steps == 0 || tally.leafKids == 0 || M > 1 && tally.modeMOnly == 0 {
 			t.Fatalf("M=%d: oracle coverage %+v", M, tally)
 		}
 	}

@@ -73,21 +73,11 @@ type rootBlock struct {
 
 // runRoot recomputes the root's final table, restarting the merge fold
 // at the first fold step whose inputs changed and keeping every earlier
-// partial merge from the previous solve (see PowerDP.fold). The fold
-// visits the children in d.rootOrder (coldest subtree first, see
-// Reset), so a churning child invalidates only the tail of the fold;
-// rootSteps and the stale detection are indexed by fold position, the
-// provenance steps by child position.
+// partial merge from the previous solve (see PowerDP.fold), so a
+// change under the q-th root child re-merges only fold steps q and on.
 func (d *PowerDP) runRoot() error {
 	kids := d.t.Children(d.t.Root())
 	d.rootRecomputed = false
-	// Record which subtrees changed this solve; the counts drive the
-	// fold order picked by the next Reset.
-	for st, ch := range kids {
-		if d.stale(ch) {
-			d.volCount[st]++
-		}
-	}
 	start, err := d.fold(d.t.Root(), 0, true)
 	if start < 0 {
 		d.rootRetained = len(kids) // every retained root merge is still exact

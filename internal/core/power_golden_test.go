@@ -17,7 +17,7 @@ import (
 // computes. A change to it means the power DP now answers differently:
 // a front point, a reconstructed placement, a solve's outcome or the
 // amount of retained work an incremental solve reused.
-const powerGoldenHash = 0x5646cc5971d5e48d
+const powerGoldenHash = 0x473f1691f5864b4d
 
 // goldenBounds returns lo, lo+step, …, hi.
 func goldenBounds(lo, hi, step float64) []float64 {
@@ -72,10 +72,11 @@ func goldenPowerTree(src *rng.Source, n int, high bool) *tree.Tree {
 // two and three modes, pre-free trees wide enough for the compressed
 // kernel, and drift sequences through one reused PowerDP (demand edits,
 // changed initial modes, pre-existing sets emptied and refilled, and a
-// Reset that permutes the root fold). It digests front costs and powers
-// as float bits, At(i) for every front point, and BestInto at every
-// bound and just under every front cost, for one and four workers. Any rewrite of the merge kernels
-// must leave the digest unchanged.
+// Reset), each drift step also checked against a cold PowerDP. It
+// digests front costs and powers as float bits, At(i) for every front
+// point, and BestInto at every bound and just under every front cost,
+// for one and four workers. Any rewrite of the merge kernels must
+// leave the digest unchanged.
 func TestPowerGolden(t *testing.T) {
 	h := fnv.New64a()
 	var buf []byte
@@ -92,11 +93,11 @@ func TestPowerGolden(t *testing.T) {
 			put(uint64(r.Placement.Mode(j)))
 		}
 	}
-	digest := func(dp *PowerDP, c powerGoldenCase, prob PowerProblem) {
+	digest := func(dp *PowerDP, c powerGoldenCase, prob PowerProblem) *PowerSolver {
 		s, err := dp.Solve(prob)
 		if err != nil {
 			h.Write([]byte(err.Error()))
-			return
+			return nil
 		}
 		st := dp.Stats()
 		put(uint64(st.Recomputed), uint64(st.RootMergeRetained))
@@ -122,9 +123,10 @@ func TestPowerGolden(t *testing.T) {
 			put(1)
 			putRes(res)
 		}
+		return s
 	}
 
-	compressedRows, permuted := 0, false
+	compressedRows := 0
 	for _, workers := range []int{1, 4} {
 		var dp *PowerDP
 		solver := func(tr *tree.Tree) *PowerDP {
@@ -175,8 +177,8 @@ func TestPowerGolden(t *testing.T) {
 		}
 
 		// Drift sequences through one PowerDP. Demand edits concentrate
-		// under the root's first child, so the Reset at step 5 moves it
-		// to the end of the root fold.
+		// under the root's first child, so the root fold replays from
+		// its first step.
 		for i := 0; i < 3; i++ {
 			src := rng.Derive(19, i)
 			tr := goldenPowerTree(src, 26+4*i, i == 1)
@@ -204,9 +206,6 @@ func TestPowerGolden(t *testing.T) {
 					ex.Set(j, 3-ex.Mode(j))
 				case 5:
 					dp.Reset(tr)
-					for q, pos := range dp.rootOrder {
-						permuted = permuted || q != pos
-					}
 				case 6:
 					ex.Reset()
 				case 7:
@@ -220,17 +219,47 @@ func TestPowerGolden(t *testing.T) {
 				if step == 8 {
 					c = goldenFig11
 				}
-				digest(dp, c, PowerProblem{Tree: tr, Existing: ex, Power: c.pm, Cost: c.cm})
+				prob := PowerProblem{Tree: tr, Existing: ex, Power: c.pm, Cost: c.cm}
+				if s := digest(dp, c, prob); s != nil {
+					checkPowerCold(t, s, c, prob)
+				}
 			}
 		}
 	}
 	if compressedRows == 0 {
 		t.Fatal("no corpus tree reached the compressed kernel")
 	}
-	if !permuted {
-		t.Fatal("no drift sequence permuted the root fold order")
-	}
 	if got := h.Sum64(); got != powerGoldenHash {
 		t.Fatalf("power golden digest %#x, want %#x", got, uint64(powerGoldenHash))
+	}
+}
+
+// checkPowerCold checks a drifted solver's answers against a fresh
+// PowerDP on the same instance: the same front, and the same
+// placement, cost and power at every front point and every bound.
+func checkPowerCold(t *testing.T, s *PowerSolver, c powerGoldenCase, prob PowerProblem) {
+	t.Helper()
+	cold, err := NewPowerDP(prob.Tree).Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := cold.Front(), s.Front()
+	if !slices.Equal(want, got) {
+		t.Fatalf("front %v, cold %v", got, want)
+	}
+	same := func(a, b *PowerResult) bool {
+		return a.Cost == b.Cost && a.Power == b.Power && a.Placement.Equal(b.Placement)
+	}
+	for i := range want {
+		if g, w := s.At(i), cold.At(i); !same(g, w) {
+			t.Fatalf("front point %d: %v, cold %v", i, g.Placement, w.Placement)
+		}
+	}
+	for _, b := range c.bounds {
+		g, gok := s.Best(b)
+		w, wok := cold.Best(b)
+		if gok != wok || gok && !same(g, w) {
+			t.Fatalf("bound %v: %v, cold %v", b, g, w)
+		}
 	}
 }

@@ -239,7 +239,7 @@ func (s *QoSSolver) solveNode(j, w int) error {
 	// a node dirtied by its own clients alone replays zero fold steps,
 	// and a dirty child restarts the fold at its position, decoding the
 	// preceding step's retained output snapshot as the accumulator.
-	start := s.foldStart(j, w, kids, nil, false, func(q int) bool { return s.qsteps[kids[q]].comp })
+	start := s.foldStart(j, w, kids, false, func(q int) bool { return s.qsteps[kids[q]].comp })
 
 	// Knapsack merge of the children: acc cell (r, L) is the
 	// minimal sum of child flows using r replicas below, every

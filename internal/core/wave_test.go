@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"replicatree/internal/cost"
@@ -269,12 +270,13 @@ func TestMinCostWithPreWorkersMatchDense(t *testing.T) {
 	}
 }
 
-// TestPowerRootFoldVolatilityOrder drives one hot subtree under the
-// root, rebinds via Reset, and checks that the volatility-derived fold
-// order pushes the hot child to the end of the fold — so a drift step
-// reuses all but one root merge step — while the front stays
-// byte-identical to a naturally-ordered solver.
-func TestPowerRootFoldVolatilityOrder(t *testing.T) {
+// TestPowerRootMergeRetainedNaturalOrder checks the retained root fold:
+// the root folds its children in child order, so a drift under the
+// last root child re-merges one fold step and keeps the other K-1, a
+// drift under the first re-merges all K, and an untouched re-solve
+// keeps every step, while the front stays byte-identical to a cold
+// solver's.
+func TestPowerRootMergeRetainedNaturalOrder(t *testing.T) {
 	b := tree.NewBuilder()
 	var grand []int
 	for i := 0; i < 4; i++ {
@@ -287,70 +289,36 @@ func TestPowerRootFoldVolatilityOrder(t *testing.T) {
 	pm := power.MustNew([]int{5, 12}, 10, 2)
 	prob := PowerProblem{Power: pm, Cost: freeCost(2)}
 	const K = 4
-	hot := grand[0] // client under the root's first child
 
 	dp := NewPowerDP(tr)
-	if _, err := dp.Solve(prob); err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 3; step++ {
-		tr.SetDemand(hot, 0, 2+step%2)
-		if _, err := dp.Solve(prob); err != nil {
+	retained := func(want int) *PowerSolver {
+		t.Helper()
+		s, err := dp.Solve(prob)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Rebind: the observed volatility (only child 0 churned) must move
-	// the hot child to the last fold position.
-	dp.Reset(tr)
-	if len(dp.rootOrder) != K || dp.rootOrder[K-1] != 0 {
-		t.Fatalf("rootOrder = %v, want the hot child (position 0) folded last", dp.rootOrder)
-	}
-	if _, err := dp.Solve(prob); err != nil {
-		t.Fatal(err)
-	}
-	if got := dp.Stats().RootMergeRetained; got != 0 {
-		t.Fatalf("cold solve retained %d root merges, want 0", got)
-	}
-
-	// A hot-child drift now invalidates only the last fold step.
-	tr.SetDemand(hot, 0, 5)
-	if _, err := dp.Solve(prob); err != nil {
-		t.Fatal(err)
-	}
-	if got := dp.Stats().RootMergeRetained; got != K-1 {
-		t.Fatalf("RootMergeRetained = %d, want %d", got, K-1)
-	}
-
-	// An untouched re-solve keeps the whole fold. Its solver view is
-	// the one compared below (a PowerSolver is only valid until the
-	// next Solve on its PowerDP).
-	sReordered, err := dp.Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dp.Stats().RootMergeRetained; got != K {
-		t.Fatalf("RootMergeRetained = %d after a clean re-solve, want %d", got, K)
-	}
-
-	// The reordered fold must not change the front by a single bit, and
-	// its reconstruction must price identically.
-	fresh := NewPowerDP(tr)
-	sNatural, err := fresh.Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantF, gotF := sNatural.Front(), sReordered.Front()
-	if len(wantF) != len(gotF) {
-		t.Fatalf("front size %d, want %d", len(gotF), len(wantF))
-	}
-	for i := range wantF {
-		if gotF[i] != wantF[i] {
-			t.Fatalf("front[%d] = %+v, want %+v", i, gotF[i], wantF[i])
+		if got := dp.Stats().RootMergeRetained; got != want {
+			t.Fatalf("RootMergeRetained = %d, want %d", got, want)
 		}
+		return s
 	}
-	want, got := sNatural.MinPower(), sReordered.MinPower()
-	if got.Cost != want.Cost || got.Power != want.Power {
-		t.Fatalf("reordered best (%v, %v), natural (%v, %v)", got.Cost, got.Power, want.Cost, want.Power)
+	retained(0)
+	tr.SetDemand(grand[K-1], 0, 7)
+	retained(K - 1)
+	tr.SetDemand(grand[0], 0, 4)
+	retained(0)
+	s := retained(K)
+
+	fresh, err := NewPowerDP(tr).Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := fresh.Front(), s.Front(); !slices.Equal(want, got) {
+		t.Fatalf("front %v, cold %v", got, want)
+	}
+	want, got := fresh.MinPower(), s.MinPower()
+	if got.Cost != want.Cost || got.Power != want.Power || !got.Placement.Equal(want.Placement) {
+		t.Fatalf("best (%v, %v) %v, cold (%v, %v) %v", got.Cost, got.Power, got.Placement,
+			want.Cost, want.Power, want.Placement)
 	}
 }
