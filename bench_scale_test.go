@@ -70,9 +70,8 @@ func scaleWorkers() []int {
 }
 
 // scaleW is the server capacity of the scale tier. Larger than the
-// paper's W=10 so the optimal server count — and with it the capped
-// table dimension (see MinCostSolver's capB) — stays in the thousands
-// even at 10^6 nodes.
+// paper's W=10 so the optimal server count stays in the thousands even
+// at 10^6 nodes, while a breakpoint row holds at most W+1 runs.
 const scaleW = 100
 
 func scaleSizes() []int {
@@ -126,6 +125,7 @@ func BenchmarkScaleColdSolve(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(solver.Stats().MergeCellsScanned), "merge-cells/op")
 			})
 		}
 	}
@@ -134,9 +134,9 @@ func BenchmarkScaleColdSolve(b *testing.B) {
 // BenchmarkScaleDriftStep times one incremental re-solve after 8
 // spread-out demand edits. The dirty ancestor chains are a vanishing
 // fraction of a mega tree, so a step costs a small fraction of
-// BenchmarkScaleColdSolve at the same size — re-merging the capB-wide
-// tables near the root, which the breakpoint-compressed kernels price
-// by run count rather than row width.
+// BenchmarkScaleColdSolve at the same size — re-merging the
+// subtree-wide tables near the root, which the breakpoint kernel
+// prices by run count rather than row width.
 func BenchmarkScaleDriftStep(b *testing.B) {
 	for _, n := range scaleSizes() {
 		t := scaleTree(b, n)
@@ -198,11 +198,10 @@ func BenchmarkScaleFlowEval(b *testing.B) {
 }
 
 // BenchmarkCompressedMergeSteadyState times sequential cold re-solves
-// on the 10^4-node scale tree, where the capB-wide tables near the root
-// sit far above the compression activation width, so the merges run on
-// breakpoint rows (the benchmark fails if they did not engage). Paired
-// with the CI zero-alloc gate it also proves the compressed kernels'
-// encode/decode scratch is fully arena-retained in steady state.
+// on the 10^4-node scale tree, whose MinCost merges all run on
+// breakpoint rows (the benchmark fails if none did). Paired with the
+// CI zero-alloc gate it also proves the run kernel's scratch and the
+// retained step tables are fully reused in steady state.
 func BenchmarkCompressedMergeSteadyState(b *testing.B) {
 	t := scaleTree(b, 10_000)
 	solver := core.NewMinCostSolver(t)

@@ -8,18 +8,19 @@ package core
 // The monotone-row contract. A DP row v(0..n-1) is monotone when
 //
 //  1. its infeasible cells (cells equal to the solver's sentinel:
-//     invalid for MinCostSolver, pUnreached for PowerDP, qInf for
-//     QoSSolver) form a prefix of the row, and
+//     pUnreached for PowerDP, qInf for QoSSolver; MinCostSolver keeps
+//     no dense rows) form a prefix of the row, and
 //  2. its feasible values are non-increasing left to right.
 //
 // Every row produced by the three dynamic programs satisfies the
 // contract along its resource axis (new servers, mode-M servers,
 // replicas): spending one more unit of the resource can always be done
-// by equipping the merged child, which never increases the escaping
-// load. The contract is nevertheless *verified*, not assumed: encode
-// returns ok=false on any violation and the caller falls back to the
-// dense kernel, so compression is exact unconditionally — the proof
-// only predicts that the fallback never triggers.
+// by equipping one more node, which never increases the escaping
+// load. MinCostSolver relies on this theorem and stores runs only. The
+// power and QoS DPs *verify* it instead: encode returns ok=false on any
+// violation and the caller falls back to the dense kernel, so their
+// compression is exact unconditionally — the proof only predicts that
+// the fallback never triggers.
 //
 // Under the contract a width-n row with values in {0..W} carries at
 // most W+2 distinct states (W+1 values plus the infeasible prefix), so
@@ -44,13 +45,14 @@ type bpRun struct {
 // small enough that sums of two values never overflow int64.
 const bpInfVal = int64(1) << 62
 
-// minDenseWidth is the row width from which the solvers' merge kernels
-// switch from the dense scan to breakpoint compression. Narrow rows
-// (leaf-level tables) stay dense, where the plain loop is cheaper than
-// encoding; wide rows — the capB- and subtree-bounded tables near the
-// top of a mega tree — compress to at most W+2 runs. It is a variable
-// so tests can lower it to force compression on small trees (and raise
-// it to force the dense path), cross-checking both kernels on the same
+// minDenseWidth is the row width from which the power and QoS merge
+// kernels switch from the dense scan to breakpoint compression. Narrow
+// rows (leaf-level tables) stay dense, where the plain loop is cheaper
+// than encoding; wide rows — the subtree-bounded tables near the top
+// of a big tree — compress to at most W+2 runs. MinCostSolver runs on
+// breakpoints at every width and ignores it. It is a variable so tests
+// can lower it to force compression on small trees (and raise it to
+// force the dense path), cross-checking both kernels on the same
 // instances.
 var minDenseWidth = 64
 

@@ -175,7 +175,7 @@ func TestConvMatchesDense(t *testing.T) {
 			t.Fatal("fuzzer produced a non-monotone row")
 		}
 		maxSum := int64(rng.Intn(2*maxV + 2))
-		// Exercise capB-style truncation: outN anywhere up to the
+		// Exercise truncation: outN anywhere up to the
 		// natural reach (wA-1)+(wB-1), never past it.
 		outN := rng.Intn(wA + wB - 1)
 		got := bpConv(ra, rb, maxSum, int32(outN), &sc)

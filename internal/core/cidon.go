@@ -7,6 +7,9 @@ import (
 	"replicatree/internal/tree"
 )
 
+// invalid marks the infeasible cells of a dense table.
+const invalid = int32(-1)
+
 // MinCostNoPre solves the classical replica placement problem (minimal
 // number of servers, no pre-existing replicas) with the O(N²) dynamic
 // program of Cidon, Kutten and Soffer [6], which the paper cites as the

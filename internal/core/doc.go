@@ -38,20 +38,31 @@
 // budget in MinCost and QoS, and by the count of top-mode servers (the
 // innermost axis) in the no-pre power tables — obeys one invariant:
 // infeasible cells form a prefix of the row, and past it the values are
-// non-increasing in the budget (equipping one more server never forces
-// more requests upward). Such a row is stored exactly as its
+// non-increasing in the budget. Such a row is stored exactly as its
 // breakpoints: the short list of (start, value) runs where the value
-// changes (breakrow.go). Rows at least minDenseWidth wide run the merge
-// kernels directly on runs — min-plus convolution, pointwise minimum
-// and prefix folds are linear in the number of breakpoints instead of
-// the row width — while narrow rows keep the dense kernels. The
-// contract is verified at encode time (a violating row falls back to
-// dense, so compression is exact unconditionally), decisions are
-// reconstructed lazily from the runs, and results are byte-identical to
-// the dense kernels — same placements, fronts and tie-breaks — which
-// the compressed_test.go differential suite enforces across drift
-// sequences and worker counts. In the power tables the invariant holds
-// within each row's effective length (the node budget left after the
-// other mode counts); the tail beyond it is unreachable by pigeonhole,
-// which the encoder also verifies cell by cell.
+// changes (breakrow.go), at most W+1 of them whatever the row width.
+// Min-plus convolution, pointwise minimum and prefix folds run on runs
+// in time linear in the number of breakpoints instead of the width.
+//
+// For MinCost the invariant is a theorem: a table cell (e, n) holds the
+// least load escaping the subtree with e reused and n new servers, and
+// equipping one more live non-pre node of the subtree keeps that
+// node's load at most W and never raises the escape, so along n a
+// feasible cell is followed by feasible cells with no larger value.
+// MinCostSolver therefore keeps every table as run rows only, one per
+// count e, and folds every child with one run kernel. Decisions are
+// rebuilt from the retained step tables in the order a dense scan
+// would have found them, and the compressed_test.go suite checks
+// placements, tie-breaks and every node's table against a test-only
+// dense reference, the invariant included, across drift sequences and
+// worker counts.
+//
+// The QoS and power DPs keep dense tables and compress rows at least
+// minDenseWidth wide. There the contract is verified at encode time (a
+// violating row falls back to the dense kernel, so compression is
+// exact unconditionally), and results are byte-identical to the dense
+// kernels, which the same suite enforces. In the power tables the
+// invariant holds within each row's effective length (the node budget
+// left after the other mode counts); the tail beyond it is unreachable
+// by pigeonhole, which the encoder also verifies cell by cell.
 package core

@@ -13,8 +13,6 @@ import (
 // greedy and heuristic layers' infeasibility errors.
 var ErrInfeasible = tree.ErrInfeasible
 
-const invalid = int32(-1)
-
 // MinCostResult is an optimal solution to MinCost-WithPre.
 type MinCostResult struct {
 	// Placement is the optimal replica set R (every replica at mode 1).
@@ -77,9 +75,11 @@ var oneRow = []int32{0, 1}
 // MinCostSolver solves MinCost-WithPre instances on one tree. Every
 // node's fold-step outputs live in retained per-node buffers, grown
 // monotonically to the high-water mark of past solves: once warmed up
-// on an instance shape, a Solve performs no heap allocation (use
-// SolveInto with a caller-owned destination to avoid the result
-// placement allocation too).
+// on the instances it cycles through, a Solve performs no heap
+// allocation (use SolveInto with a caller-owned destination to avoid
+// the result placement allocation too). A table's run count depends on
+// its values, so an instance never seen before may grow a few buffers
+// once.
 //
 // The retained tables make solves incremental. A solve reuses every
 // cached subtree table whose inputs did not change since the previous
