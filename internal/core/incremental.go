@@ -40,6 +40,17 @@ func grown[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
+// grownSpare is grown for retained buffers whose size follows the
+// instance's values, not only its shape: a buffer that must grow is
+// allocated with half again to spare, so solves whose needs drift by a
+// little reuse it instead of growing on every new high-water mark.
+func grownSpare[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n, n+n/2+1)
+}
+
 // grownKeep is grown preserving the prefix already in buf. Used for
 // slices whose elements are themselves retained buffers (per-node
 // tables), so a cross-tree rebind keeps every buffer as a capacity

@@ -57,20 +57,24 @@ func MinReplicaCount(t *tree.Tree, W int) (int, error) {
 
 // bpTable is a MinCost table in breakpoint form: for every count e of
 // reused servers (0..dimE) one run row along the count n of new
-// servers (0..dimN), row e being runs[off[e]:off[e+1]]. A cell holds
-// the least load escaping the subtree with exactly e reused and n new
-// servers inside it. Every row obeys the monotone-row contract by
-// theorem (see the package documentation), so it needs no dense form.
+// servers (0..dimN). A one-row table (dimE == 0) stores its row as
+// runs; a wider one leads with dimE+2 header entries whose starts index
+// the rows, row e being runs[runs[e].start:runs[e+1].start], so a table
+// is one buffer. A cell holds the least load escaping the subtree with
+// exactly e reused and n new servers inside it. Every row obeys the
+// monotone-row contract by theorem (see the package documentation), so
+// it needs no dense form.
 type bpTable struct {
 	dimE, dimN int32
-	off        []int32
 	runs       []bpRun
 }
 
-func (t *bpTable) row(e int32) []bpRun { return t.runs[t.off[e]:t.off[e+1]] }
-
-// oneRow is the row offsets of a one-row table (a base cell).
-var oneRow = []int32{0, 1}
+func (t *bpTable) row(e int32) []bpRun {
+	if t.dimE == 0 {
+		return t.runs
+	}
+	return t.runs[t.runs[e].start:t.runs[e+1].start]
+}
 
 // MinCostSolver solves MinCost-WithPre instances on one tree. Every
 // node's fold-step outputs live in retained per-node buffers, grown
@@ -320,7 +324,7 @@ func (s *MinCostSolver) stepIn(j, st int) bpTable {
 	if st > 0 {
 		return s.steps[j][st-1]
 	}
-	return bpTable{off: oneRow, runs: s.base[j : j+1]}
+	return bpTable{runs: s.base[j : j+1]}
 }
 
 // merge runs fold step st of node j: it combines the accumulated table
@@ -351,8 +355,12 @@ func (s *MinCostSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
 		out.dimN++
 	}
 	w := int64(s.w)
-	out.off, out.runs = append(out.off[:0], 0), out.runs[:0]
-	row, spare := sc.acc[:0], sc.tmp[:0]
+	// The table is staged in scratch and copied out at its final size,
+	// so a retained step buffer grows at most once per solve.
+	staged, row, spare := sc.accRuns[:0], sc.acc[:0], sc.tmp[:0]
+	if out.dimE > 0 {
+		staged = append(staged, make([]bpRun, out.dimE+2)...)
+	}
 	for r := int32(0); r <= out.dimE; r++ {
 		row = row[:0]
 		for ea := max(0, r-c.dimE-1); ea <= min(acc.dimE, r); ea++ {
@@ -381,10 +389,17 @@ func (s *MinCostSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
 				}
 			}
 		}
-		out.runs = append(out.runs, row...)
-		out.off = append(out.off, int32(len(out.runs)))
+		if out.dimE > 0 {
+			staged[r].start = int32(len(staged))
+		}
+		staged = append(staged, row...)
 	}
-	sc.acc, sc.tmp = row[:0], spare[:0]
+	if out.dimE > 0 {
+		staged[out.dimE+1].start = int32(len(staged))
+	}
+	out.runs = grownSpare(out.runs, len(staged))
+	copy(out.runs, staged)
+	sc.accRuns, sc.acc, sc.tmp = staged[:0], row[:0], spare[:0]
 }
 
 // decide reconstructs the decision behind cell (e, n) of fold step st
