@@ -392,9 +392,9 @@ func (d *PowerDP) solveNode(j, w int) error {
 // first stale step (see dpDriver.foldStart) and returns that step, or
 // -1 when the retained table is still exact. The root (root == true)
 // retains every partial merge in rootSteps as a full table, so any
-// step can restart it; elsewhere the
-// fold restarts mid-way only from a compressed step's snapshot, and
-// intermediates live in the worker's arena.
+// step can restart it; elsewhere the fold restarts mid-way only from a
+// compressed step's snapshot, and intermediates live in the worker's
+// arena.
 func (d *PowerDP) fold(j, w int, root bool) (int, error) {
 	t := d.t
 	ar, sc, ms := &d.arenas[w], &d.bps[w], &d.mstats[w]
