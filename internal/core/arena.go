@@ -1,9 +1,9 @@
 package core
 
-// arena is the flat scratch allocator behind the reusable solvers
-// (MinCostSolver, PowerDP, QoSSolver). Each solver owns one arena per
-// element type; a solve resets the arena and carves its merge
-// intermediates out of one backing buffer (everything that must
+// arena is the flat scratch allocator behind PowerDP's dense merges
+// (MinCostSolver and QoSSolver merge on runs and need none). The
+// driver owns one arena per worker; a solve resets the arena and
+// carves its merge intermediates out of one backing buffer (everything that must
 // outlive the solve — final node tables, reconstruction back-pointers
 // — lives in the retained per-node buffers of incremental.go instead).
 // The reset fits the buffer to the high-water mark of the solves

@@ -8,19 +8,21 @@ package core
 // The monotone-row contract. A DP row v(0..n-1) is monotone when
 //
 //  1. its infeasible cells (cells equal to the solver's sentinel:
-//     pUnreached for PowerDP, qInf for QoSSolver; MinCostSolver keeps
-//     no dense rows) form a prefix of the row, and
+//     pUnreached for PowerDP; MinCostSolver and QoSSolver keep no
+//     dense rows) form a prefix of the row, and
 //  2. its feasible values are non-increasing left to right.
 //
 // Every row produced by the three dynamic programs satisfies the
 // contract along its resource axis (new servers, mode-M servers,
 // replicas): spending one more unit of the resource can always be done
 // by equipping one more node, which never increases the escaping
-// load. MinCostSolver relies on this theorem and stores runs only. The
-// power and QoS DPs *verify* it instead: encode returns ok=false on any
-// violation and the caller falls back to the dense kernel, so their
-// compression is exact unconditionally — the proof only predicts that
-// the fallback never triggers.
+// load. MinCostSolver and QoSSolver rely on this theorem and store
+// runs only; QoSSolver counts a flow above W as infeasible, which no
+// ancestor could absorb anyway, and without which its rows would break
+// the contract. The power DP *verifies* it instead: encode returns
+// ok=false on any violation and the caller falls back to the dense
+// kernel, so its compression is exact unconditionally — the proof only
+// predicts that the fallback never triggers.
 //
 // Under the contract a width-n row with values in {0..W} carries at
 // most W+2 distinct states (W+1 values plus the infeasible prefix), so
@@ -30,8 +32,6 @@ package core
 // infeasible. All row operations below preserve the invariant by
 // construction, which is what makes folds over compressed rows exact
 // without re-verification.
-
-import "math"
 
 // bpRun is one breakpoint of a compressed monotone row: the row holds
 // val from cell start up to the next run's start (or the row end).
@@ -45,12 +45,12 @@ type bpRun struct {
 // small enough that sums of two values never overflow int64.
 const bpInfVal = int64(1) << 62
 
-// minDenseWidth is the row width from which the power and QoS merge
-// kernels switch from the dense scan to breakpoint compression. Narrow
+// minDenseWidth is the row width from which the power DP's merge
+// kernel switches from the dense scan to breakpoint compression. Narrow
 // rows (leaf-level tables) stay dense, where the plain loop is cheaper
 // than encoding; wide rows — the subtree-bounded tables near the top
-// of a big tree — compress to at most W+2 runs. MinCostSolver runs on
-// breakpoints at every width and ignores it. It is a variable so tests
+// of a big tree — compress to at most W+2 runs. MinCostSolver and
+// QoSSolver run on breakpoints at every width and ignore it. It is a variable so tests
 // can lower it to force compression on small trees (and raise it to
 // force the dense path), cross-checking both kernels on the same
 // instances.
@@ -96,50 +96,6 @@ func decodeRuns32(runs []bpRun, row []int32, inval int32) {
 	}
 	for i := 0; i < end; i++ {
 		row[i] = inval
-	}
-}
-
-// encodeRunsIntStrided is encodeRuns32 for an int row of n cells laid
-// out at the given stride (cell r lives at row[r*stride]), the layout
-// of the QoS solver's per-requirement columns. Values at or above
-// bpInfVal also fail the encode: they cannot be represented without
-// colliding with the internal +inf.
-func encodeRunsIntStrided(row []int, n, stride int, inval int, dst []bpRun) ([]bpRun, bool) {
-	dst = dst[:0]
-	i := 0
-	for i < n && row[i*stride] == inval {
-		i++
-	}
-	last := bpInfVal
-	for ; i < n; i++ {
-		v := int64(row[i*stride])
-		if row[i*stride] == inval || v >= bpInfVal || v < math.MinInt64/4 {
-			return dst, false
-		}
-		if v > last {
-			return dst, false
-		}
-		if v < last {
-			dst = append(dst, bpRun{start: int32(i), val: v})
-			last = v
-		}
-	}
-	return dst, true
-}
-
-// decodeRunsIntStrided expands runs into a strided int row of n cells,
-// filling cells before the first run with inval.
-func decodeRunsIntStrided(runs []bpRun, row []int, n, stride int, inval int) {
-	end := n
-	for p := len(runs) - 1; p >= 0; p-- {
-		v := int(runs[p].val)
-		for i := int(runs[p].start); i < end; i++ {
-			row[i*stride] = v
-		}
-		end = int(runs[p].start)
-	}
-	for i := 0; i < end; i++ {
-		row[i*stride] = inval
 	}
 }
 
@@ -206,10 +162,10 @@ type bpScratch struct {
 	res, alt   []bpRun   // fold ping-pong buffers
 	tmp        []bpRun   // envMin destination for row accumulation
 	rows       [][]bpRun // per-output-row accumulated runs (PowerDP)
-	accOff     []int32   // per-row offsets into accRuns (PowerDP/QoS)
+	accOff     []int32   // per-row offsets into accRuns (PowerDP)
 	accRuns    []bpRun
 	modeStarts []int32 // per (child row, mode) staircase starts (PowerDP)
-	cols       []int32 // per-column offsets (QoS)
+	cols       []int32 // per-child-row offsets into colRuns (PowerDP)
 	colRuns    []bpRun
 }
 

@@ -75,45 +75,6 @@ func TestEncodeRejectsNonMonotone(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeStridedRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const inval = int(qInf)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(80)
-		stride := 1 + rng.Intn(5)
-		maxV := 1 + rng.Intn(1000)
-		narrow := randMonotoneRow(rng, n, maxV, -1)
-		row := make([]int, n*stride)
-		for i := range row {
-			row[i] = -7 // sentinel for cells outside the column
-		}
-		for i, v := range narrow {
-			if v == -1 {
-				row[i*stride] = inval
-			} else {
-				row[i*stride] = int(v)
-			}
-		}
-		runs, ok := encodeRunsIntStrided(row, n, stride, inval, nil)
-		if !ok {
-			t.Fatalf("trial %d: encode rejected monotone column", trial)
-		}
-		got := make([]int, n*stride)
-		copy(got, row)
-		for i := 0; i < n; i++ {
-			got[i*stride] = -99
-		}
-		decodeRunsIntStrided(runs, got, n, stride, inval)
-		if !slices.Equal(row, got) {
-			t.Fatalf("trial %d: strided round-trip mismatch", trial)
-		}
-	}
-	// Values at or above bpInfVal are unrepresentable and must fail.
-	if _, ok := encodeRunsIntStrided([]int{int(bpInfVal)}, 1, 1, inval, nil); ok {
-		t.Error("encode accepted a value >= bpInfVal")
-	}
-}
-
 // denseAt reads a dense row treating inval as +inf.
 func denseAt(row []int32, k int, inval int32) int64 {
 	if k < 0 || k >= len(row) || row[k] == inval {

@@ -210,15 +210,24 @@ func TestPowerCompressedMatchesDense(t *testing.T) {
 	}
 }
 
+// TestQoSCompressedMatchesDense checks the run-native QoS kernel
+// against the dense reference (denseQoS) over drift sequences at one,
+// two and eight workers: same placements and error outcomes, and every
+// node's final table equal, cell for cell, to the dense table with the
+// cells above W read as infeasible. It checks the monotone-row
+// contract on those capped dense tables, since the run tables are
+// exact only because it holds, and that some uncapped dense column
+// breaks it, so the cap is exercised. The sequences vary demands, W
+// (down to infeasible, and once math.MaxInt, whose sums must not
+// overflow the run kernel), uniform QoS bounds, link bandwidths and a
+// nil constraint set.
 func TestQoSCompressedMatchesDense(t *testing.T) {
-	set := setDenseWidth(t, forceDense)
-	compressedRows := 0
+	broken := 0
 	for i := 0; i < reuseTreeCount(t); i++ {
 		src := rng.Derive(223, i)
 		tr := tree.MustGenerate(reuseGen(i), src)
 		cons := tree.NewConstraints(tr)
 		cons.SetUniformQoS(tr, 4)
-		dense := NewQoSSolver(tr)
 		workers := []int{1, 2, 8}
 		comps := make([]*QoSSolver, len(workers))
 		dsts := make([]*tree.Replicas, len(workers))
@@ -227,40 +236,102 @@ func TestQoSCompressedMatchesDense(t *testing.T) {
 			comps[k].SetWorkers(w)
 			dsts[k] = tree.ReplicasOf(tr)
 		}
-		denseDst := tree.ReplicasOf(tr)
-		for step := 0; step < 10; step++ {
+		W := 10
+		for step := 0; step < 12; step++ {
 			driftClients(tr, src.IntN(4), src)
-			if step%4 == 3 {
-				cons.SetUniformQoS(tr, 3+src.IntN(3))
-			}
-			if step == 5 {
-				// Constrain a few links so the run-prefix bandwidth
-				// filter of the compressed kernel is exercised too.
+			c := cons
+			switch step % 6 {
+			case 1:
+				cons.SetUniformQoS(tr, 2+src.IntN(4))
+			case 2:
+				W = []int{4, 7, 10, 25}[src.IntN(4)]
+			case 3:
 				for b := 0; b < 3; b++ {
 					cons.SetBandwidth(1+src.IntN(tr.N()-1), 4+src.IntN(10))
 				}
+			case 4:
+				c = nil
 			}
-			set(forceDense)
-			want, wantErr := dense.Solve(10, cons, denseDst)
-			set(forceCompressed)
+			if step == 11 {
+				W = math.MaxInt
+			}
+			dense, want, wantErr := solveDenseQoS(tr, W, c)
+			broken += uncappedBroken(dense)
 			for k, w := range workers {
-				got, gotErr := comps[k].Solve(10, cons, dsts[k])
+				got, gotErr := comps[k].Solve(W, c, dsts[k])
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("tree %d step %d workers %d: dense err %v, compressed err %v",
+					t.Fatalf("tree %d step %d workers %d: dense err %v, run err %v",
 						i, step, w, wantErr, gotErr)
 				}
-				if wantErr != nil {
-					continue
-				}
-				if !want.Equal(got) || want.String() != got.String() {
-					t.Fatalf("tree %d step %d workers %d: dense %v != compressed %v",
+				if wantErr == nil && (!want.Equal(got) || want.String() != got.String()) {
+					t.Fatalf("tree %d step %d workers %d: dense %v != run %v",
 						i, step, w, want, got)
 				}
-				compressedRows += comps[k].Stats().RowsCompressed
+				checkQoSTables(t, comps[k], dense)
+			}
+		}
+		for _, s := range comps {
+			s.SetWorkers(1)
+		}
+	}
+	if broken == 0 {
+		t.Fatal("no uncapped dense column breaks the monotone-row contract: the W cap is never exercised")
+	}
+}
+
+// qosColumn writes column L of node j's dense table into col, reading
+// infeasible cells, and with capped set the cells above W, as invalid.
+func qosColumn(d *denseQoS, j, L int, capped bool, col []int32) {
+	rows := d.rows(j)
+	for r := range col {
+		v := d.tabs[j][r*rows+L]
+		if v >= qInf || capped && v > d.w {
+			col[r] = invalid
+		} else {
+			col[r] = int32(v)
+		}
+	}
+}
+
+// uncappedBroken counts the dense table columns that break the
+// monotone-row contract when the cells above W are kept.
+func uncappedBroken(d *denseQoS) int {
+	n := 0
+	for j := range d.tabs {
+		col := make([]int32, d.size[j]+1)
+		for L := 0; L < d.rows(j); L++ {
+			qosColumn(d, j, L, false, col)
+			if _, ok := encodeRuns32(col, invalid, nil); !ok {
+				n++
 			}
 		}
 	}
-	if compressedRows == 0 {
-		t.Fatal("forced activation width never engaged the compressed kernel")
+	return n
+}
+
+// checkQoSTables compares every node's final run table of s with the
+// dense reference's table capped at W: same dimensions, every capped
+// dense column monotone, and the run rows decoding to exactly the
+// capped dense columns.
+func checkQoSTables(t *testing.T, s *QoSSolver, d *denseQoS) {
+	t.Helper()
+	for j := range d.tabs {
+		tab := s.tabs[j]
+		rows := d.rows(j)
+		if int(tab.dimE) != rows-1 || int(tab.dimN) != d.size[j] {
+			t.Fatalf("node %d: run table %dx%d, dense %dx%d", j, tab.dimE+1, tab.dimN, rows, d.size[j])
+		}
+		want := make([]int32, d.size[j]+1)
+		got := make([]int32, len(want))
+		for L := 0; L < rows; L++ {
+			qosColumn(d, j, L, true, want)
+			if _, ok := encodeRuns32(want, invalid, nil); !ok {
+				t.Fatalf("node %d column %d breaks the monotone-row contract: %v", j, L, want)
+			}
+			decodeRuns32(tab.row(int32(L)), got, invalid)
+			if !slices.Equal(got, want) {
+				t.Fatalf("node %d column %d: runs decode to %v, capped dense %v", j, L, got, want)
+			}
+		}
 	}
 }

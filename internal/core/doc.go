@@ -57,11 +57,23 @@
 // dense reference, the invariant included, across drift sequences and
 // worker counts.
 //
-// The QoS and power DPs keep dense tables and compress rows at least
-// minDenseWidth wide. There the contract is verified at encode time (a
-// violating row falls back to the dense kernel, so compression is
-// exact unconditionally), and results are byte-identical to the dense
-// kernels, which the same suite enforces. In the power tables the
+// For QoS the invariant is a theorem once a cell whose escaping flow
+// exceeds W counts as infeasible. Such a cell can never be absorbed,
+// since every equipped ancestor checks its own load against W, so
+// dropping it changes no answer. Without the cap the dense tables do
+// break the contract; with it, equipping one more node of a subtree
+// whose escaping flow is at most W keeps that node's load at most W,
+// and it never raises the escape or tightens the QoS requirement.
+// QoSSolver therefore keeps every table as run rows only, one per
+// requirement, rebuilds splits and closure choices from the retained
+// step tables in the dense scan's order, and the same suite checks it
+// against a test-only dense reference capped at W.
+//
+// Only the power DP still keeps dense tables and compresses rows at
+// least minDenseWidth wide. There the contract is verified at encode
+// time (a violating row falls back to the dense kernel, so compression
+// is exact unconditionally), and results are byte-identical to the
+// dense kernel, which the same suite enforces. In the power tables the
 // invariant holds within each row's effective length (the node budget
 // left after the other mode counts); the tail beyond it is unreachable
 // by pigeonhole, which the encoder also verifies cell by cell.

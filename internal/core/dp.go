@@ -40,7 +40,7 @@ import (
 // happens-before edge on all writes. Thin waves run inline on worker 0:
 // drift steps re-solve only sparse ancestor chains, and waking the
 // pool costs more than a few table rebuilds.
-type dpDriver[T int32 | int] struct {
+type dpDriver struct {
 	t *tree.Tree
 
 	// Dirty tracking: whether a committed solve exists, the demand
@@ -71,7 +71,7 @@ type dpDriver[T int32 | int] struct {
 	// sequential pass and the root). Arenas are recycled per node:
 	// intermediates never outlive the node whose merges produced them,
 	// so each arena only needs to fit the largest single node.
-	arenas []arena[T]
+	arenas []arena[int32]
 	bps    []bpScratch
 	mstats []mergeStats
 	errs   []error
@@ -89,7 +89,7 @@ type dpDriver[T int32 | int] struct {
 
 // init installs the solver's kernels and sizes the driver for one
 // worker.
-func (d *dpDriver[T]) init(node func(j, w int) error, changed func(j int) bool, stride int) {
+func (d *dpDriver) init(node func(j, w int) error, changed func(j int) bool, stride int) {
 	d.node, d.changed, d.stride = node, changed, stride
 	d.task = d.runTask
 	d.SetWorkers(1)
@@ -97,7 +97,7 @@ func (d *dpDriver[T]) init(node func(j, w int) error, changed func(j int) bool, 
 
 // bind rebinds the driver to tree t, keeping its buffers, and forces
 // the next solve to be a full one.
-func (d *dpDriver[T]) bind(t *tree.Tree) {
+func (d *dpDriver) bind(t *tree.Tree) {
 	d.t = t
 	d.seen = grown(d.seen, t.N())
 	d.dirty = grown(d.dirty, t.N())
@@ -112,7 +112,7 @@ func (d *dpDriver[T]) bind(t *tree.Tree) {
 // bit-identical for every worker count. Incremental solves keep their
 // advantage: only the dirty nodes of each wave are dispatched. This is
 // the solvers' only parallelism knob.
-func (d *dpDriver[T]) SetWorkers(workers int) {
+func (d *dpDriver) SetWorkers(workers int) {
 	if d.pool != nil {
 		d.pool.Close()
 		d.pool = nil
@@ -139,7 +139,7 @@ func (d *dpDriver[T]) SetWorkers(workers int) {
 // returns the context's error with nothing committed, so the solver
 // stays repairable (see cancel.go). A nil context — the default —
 // disables the checkpoints.
-func (d *dpDriver[T]) SetContext(ctx context.Context) { d.cancel.set(ctx) }
+func (d *dpDriver) SetContext(ctx context.Context) { d.cancel.set(ctx) }
 
 // Invalidate discards the validity of every cached subtree table (and
 // PowerDP's retained root-scan state), forcing the next solve to
@@ -147,12 +147,12 @@ func (d *dpDriver[T]) SetContext(ctx context.Context) { d.cancel.set(ctx) }
 // out-of-band mutations the solver cannot observe: demand edits through
 // SetDemand/SetClientRequests and the per-solve inputs are detected
 // automatically.
-func (d *dpDriver[T]) Invalidate() { d.solved = false }
+func (d *dpDriver) Invalidate() { d.solved = false }
 
 // Stats profiles the most recent completed solve: how many of the
 // tree's node tables it actually recomputed, and the merge-layer
 // counters (see SolveStats).
-func (d *dpDriver[T]) Stats() SolveStats {
+func (d *dpDriver) Stats() SolveStats {
 	st := SolveStats{Nodes: d.t.N(), Recomputed: d.recomputed}
 	for _, m := range d.mstats {
 		st.MergeCellsScanned += m.cells
@@ -164,14 +164,14 @@ func (d *dpDriver[T]) Stats() SolveStats {
 
 // stale reports whether the table of child ch, or its per-child
 // inputs, changed since the last commit.
-func (d *dpDriver[T]) stale(ch int) bool {
+func (d *dpDriver) stale(ch int) bool {
 	return d.dirty[ch] || d.changed != nil && d.changed(ch)
 }
 
 // markDirty decides which cached tables the solve must rebuild. full
 // forces every table (a global parameter that reshapes them changed);
 // so does the absence of a committed solve.
-func (d *dpDriver[T]) markDirty(full bool) {
+func (d *dpDriver) markDirty(full bool) {
 	t := d.t
 	d.fullSolve = full || !d.solved
 	for j := 0; j < t.N(); j++ {
@@ -195,7 +195,7 @@ func (d *dpDriver[T]) markDirty(full bool) {
 
 // commit records that every table now reflects the tree's current
 // demands. Call only after the pass succeeded.
-func (d *dpDriver[T]) commit() {
+func (d *dpDriver) commit() {
 	for j := 0; j < d.t.N(); j++ {
 		d.seen[j] = d.t.DemandGen(j)
 	}
@@ -214,7 +214,7 @@ func (d *dpDriver[T]) commit() {
 //
 // The retained prefix stays exact by induction: any input change to a
 // prefix step makes that step stale and moves the restart before it.
-func (d *dpDriver[T]) foldStart(j, w int, kids []int, baseDemand bool, snap func(q int) bool) int {
+func (d *dpDriver) foldStart(j, w int, kids []int, baseDemand bool, snap func(q int) bool) int {
 	if d.fullSolve || baseDemand && d.t.DemandGen(j) != d.seen[j] {
 		return 0
 	}
@@ -244,7 +244,7 @@ func (d *dpDriver[T]) foldStart(j, w int, kids []int, baseDemand bool, snap func
 // afterwards. The first error of any worker, or the context's error
 // once the pass stopped early, is returned; nothing is committed
 // either way.
-func (d *dpDriver[T]) run() error {
+func (d *dpDriver) run() error {
 	t := d.t
 	d.recomputed = 0
 	for w := range d.mstats {
@@ -299,7 +299,7 @@ func (d *dpDriver[T]) run() error {
 // work at the next wave boundary — and, within a wide wave, at the
 // pool's next chunk claim. Nodes already dispatched finish their table
 // rebuild; the pass never abandons a table half-written.
-func (d *dpDriver[T]) runWaves(waves int) bool {
+func (d *dpDriver) runWaves(waves int) bool {
 	for h := 0; h < waves; h++ {
 		if d.cancel.err() != nil {
 			return false
@@ -327,7 +327,7 @@ func (d *dpDriver[T]) runWaves(waves int) bool {
 
 // runTask rebuilds the i-th dirty node of the current wave on worker
 // w, keeping the worker's first error.
-func (d *dpDriver[T]) runTask(w, i int) {
+func (d *dpDriver) runTask(w, i int) {
 	d.arenas[w].reset()
 	if err := d.node(d.dirtyIdx[i], w); err != nil && d.errs[w] == nil {
 		d.errs[w] = err
@@ -343,7 +343,7 @@ func (d *dpDriver[T]) runTask(w, i int) {
 // node varies from pass to pass, and sizing each worker's scratch only
 // by the nodes it happened to draw would leave its next bigger draw to
 // allocate.
-func (d *dpDriver[T]) flushScratch() {
+func (d *dpDriver) flushScratch() {
 	need := 0
 	for w := range d.arenas {
 		d.arenas[w].reset()

@@ -5,7 +5,8 @@ package core
 // PowerDP; the dirty tracking itself lives in the shared driver
 // (dp.go). The dynamic programs are subtree-decomposable: the table of
 // a node depends only on its own client demands, its children's
-// tables, and per-child attributes of the instance (pre-existing membership/modes, link bandwidths). When a
+// tables, and per-child attributes of the instance (pre-existing
+// membership/modes, link bandwidths). When a
 // solve changes only a few of those inputs, every table outside the
 // ancestor chains of the changed nodes is still exact, so the solvers
 // keep all per-node tables in retained buffers across solves and
@@ -95,15 +96,15 @@ type SolveStats struct {
 	// MergeCellsScanned measures the merge work of the solve: the
 	// (accumulated cell, child cell) pairs dense merge kernels evaluate
 	// (PowerDP's only pairs of reached cells) plus the breakpoint runs
-	// the run kernels visit. MinCostSolver runs every merge on runs,
-	// so its count is the sum, over the (acc row, child row) pairs its
-	// merges fold, of the two rows' run counts.
+	// the run kernels visit. MinCostSolver and QoSSolver run every
+	// merge on runs, so their count is the sum, over the (acc row,
+	// child row) pairs their merges fold, of the two rows' run counts.
 	MergeCellsScanned int
 	// RowsCompressed counts the DP rows the merge kernels ran in
 	// breakpoint form instead of densely, two (accumulator and child)
-	// per folded row pair. For MinCostSolver that is every merged row
-	// pair; QoSSolver and PowerDP count only rows at least
-	// minDenseWidth wide.
+	// per folded row pair. For MinCostSolver and QoSSolver that is
+	// every merged row pair with both rows non-empty; PowerDP counts
+	// only rows at least minDenseWidth wide.
 	RowsCompressed int
 	// FoldSuffixReplayed counts the merge steps re-executed by partial
 	// child-fold replays: a dirty node whose first stale child sits at

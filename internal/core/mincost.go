@@ -99,7 +99,7 @@ func (t *bpTable) row(e int32) []bpRun {
 //
 // A solver is not safe for concurrent use; run one per goroutine.
 type MinCostSolver struct {
-	dpDriver[int32]
+	dpDriver
 	empty *tree.Replicas // stands in for a nil existing set
 
 	// Per node, retained across solves: the base cell (the requests of

@@ -156,7 +156,7 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // invalidated by the next Solve (or Reset). A PowerDP is not safe for
 // concurrent use; run one per goroutine.
 type PowerDP struct {
-	dpDriver[int32]
+	dpDriver
 	empty *tree.Replicas
 
 	// Per-solve configuration.

@@ -32,19 +32,17 @@ import (
 // escapes) or let the flow pass (possible only while every contributing
 // client's QoS still tolerates a higher server).
 //
-// Every per-node table is a flat row-major slice (row r at offset
-// r*rowWidth, the same index-addressed layout the shape type gives the
-// power tables) held in a retained buffer so it can carry over to the
-// next solve; only the knapsack-merge intermediates live in the
-// solver's per-solve arena.
-
-const qInf = int(1) << 60
-
-const (
-	qNone uint8 = iota
-	qEquip
-	qEscape
-)
+// Every table is a bpTable, the breakpoint form MinCostSolver uses:
+// one run row per requirement L along the replica count r. A cell
+// whose flow exceeds W counts as infeasible. No ancestor could absorb
+// it, since every equipped ancestor checks own + a <= W, so dropping it
+// changes no answer. With it dropped, every row obeys the monotone-row
+// contract by theorem: equipping one more node of a subtree whose
+// escaping flow is at most W keeps that node's load at most W, and it
+// never raises the escape or tightens the requirement. So one run
+// kernel folds every child, and no dense form is kept. Each fold step's
+// output is retained per node: it is the next step's input, a fold
+// restart point, and what the reconstruction rebuilds splits from.
 
 // MinReplicasQoS returns a replica set of minimal cardinality serving
 // every client under the closest policy with uniform capacity W, every
@@ -54,10 +52,9 @@ const (
 // check). It returns ErrInfeasible when no placement at all serves the
 // instance.
 //
-// Time and memory are O(N²·H) in the worst case (H the tree height),
-// the polynomial bound of the paper: comfortably fast on the
-// evaluation's 100-node trees, but not intended for degenerate
-// path-shaped instances with thousands of nodes.
+// Time is O(N²·H) in the worst case (H the tree height), the
+// polynomial bound of the paper, and also O(N·H·W²): a table row holds
+// at most W+1 runs whatever the subtree's size.
 //
 // MinReplicasQoS builds a fresh solver per call; hot loops sweeping
 // many constraint sets on the same tree should hold a QoSSolver
@@ -67,10 +64,10 @@ func MinReplicasQoS(t *tree.Tree, W int, c *tree.Constraints) (*tree.Replicas, e
 }
 
 // QoSSolver solves constrained replica-counting instances on one tree.
-// Merge intermediates live in a flat arena and every node's tables in
-// retained per-node buffers, all grown monotonically to the high-water
-// mark of past solves, so after two warm-up solves of an instance shape
-// every further Solve with a caller-owned destination performs no heap
+// Every node's fold-step outputs and final table live in retained
+// per-node buffers, grown monotonically to the high-water mark of past
+// solves, so after two warm-up solves of an instance shape every
+// further Solve with a caller-owned destination performs no heap
 // allocation.
 //
 // The retained tables make solves incremental: demand edits through
@@ -83,22 +80,19 @@ func MinReplicasQoS(t *tree.Tree, W int, c *tree.Constraints) (*tree.Replicas, e
 //
 // A solver is not safe for concurrent use; run one per goroutine.
 type QoSSolver struct {
-	dpDriver[int]
+	dpDriver
 	eng           *tree.Engine
 	unconstrained *tree.Constraints
 
-	// Per node, retained across solves: replica capacity of the subtree
-	// including the node, its flat tab/choice block ((size+1) rows of
-	// width max(depth-1,0)+1), and — indexed by the CHILD's id — the
-	// flat split table of the merge that folded that child into its
-	// parent (rows of width depth(child), the parent's accumulator
-	// width), plus the compressed fold-step snapshots (likewise indexed
-	// by the child's id).
-	size    []int
-	tabs    [][]int
-	choices [][]uint8
-	splits  [][]int
-	qsteps  []qStep
+	// Per node, retained across solves: the output of every fold step
+	// (steps[j] has one table per child of j, D+1 rows for D =
+	// depth(j)) and the node's final table (max(D-1, 0)+1 rows, dimN
+	// the replica capacity of the subtree including the node).
+	steps [][]bpTable
+	tabs  []bpTable
+	// zero is the accumulator row entering every node's first fold
+	// step: no replica below, no flow.
+	zero [1]bpRun
 
 	// Incremental bookkeeping.
 	lastW    int
@@ -108,22 +102,6 @@ type QoSSolver struct {
 	// Per solve:
 	w int
 	c *tree.Constraints
-}
-
-// qStep is the retained snapshot of one compressed knapsack fold step
-// (the merge of one child into its parent's accumulator): breakpoint
-// runs of every requirement column of the accumulator before (inRuns)
-// and after (outRuns) the merge, concatenated with per-column offsets.
-// comp marks whether the step's last run was compressed; dense steps
-// record their splits in QoSSolver.splits instead, compressed ones
-// reconstruct them lazily (lazySplit) and restart partial fold replays
-// from their output snapshot.
-type qStep struct {
-	comp    bool
-	inOff   []int32
-	inRuns  []bpRun
-	outOff  []int32
-	outRuns []bpRun
 }
 
 // NewQoSSolver returns a reusable constrained-counting solver for t.
@@ -150,11 +128,11 @@ func (s *QoSSolver) Reset(t *tree.Tree) {
 	} else {
 		s.unconstrained.Reset(t)
 	}
-	s.size = grown(s.size, n)
+	s.steps = grownKeep(s.steps, n)
+	for j := 0; j < n; j++ {
+		s.steps[j] = grownKeep(s.steps[j], len(t.Children(j)))
+	}
 	s.tabs = grownKeep(s.tabs, n)
-	s.choices = grownKeep(s.choices, n)
-	s.splits = grownKeep(s.splits, n)
-	s.qsteps = grownKeep(s.qsteps, n)
 	s.lastC = nil
 	s.bind(t)
 }
@@ -199,19 +177,15 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 	s.lastW, s.lastC, s.lastCGen = W, c, c.Generation()
 	s.commit()
 
+	// The root sits at depth 0, so its table has one row, and every
+	// feasible root cell holds 0: the first run starts at the least
+	// replica count.
 	root := t.Root()
-	rootTab := s.tabs[root] // width 1: the root sits at depth 0
-	best := -1
-	for r := 0; r <= s.size[root]; r++ {
-		if rootTab[r] == 0 {
-			best = r
-			break
-		}
-	}
-	if best < 0 {
+	row := s.tabs[root].row(0)
+	if len(row) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrInfeasible)
 	}
-	s.build(dst, root, best, 0)
+	s.build(dst, root, row[0].start, 0)
 	// The tables are exact by construction; re-validate as a cheap
 	// guard against implementation drift.
 	if err := s.eng.ValidateUniformConstrained(dst, tree.PolicyClosest, W, c); err != nil {
@@ -220,324 +194,223 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 	return dst, nil
 }
 
-// tabRows returns the row width of node j's tab/choice block: an
-// escaping flow must be absorbed by a proper ancestor, so requirements
-// live in 0..max(depth(j)-1, 0).
-func (s *QoSSolver) tabRows(j int) int { return max(s.t.Depth(j)-1, 0) + 1 }
-
-// solveNode rebuilds node j's table from its children's, carving
-// knapsack-merge intermediates out of worker w's arena.
+// solveNode rebuilds node j's table from its children's with worker
+// w's scratch.
+//
+// Fold restart point (see dpDriver.foldStart): the knapsack merge
+// never reads node j's own demand (only the closures do), so a node
+// dirtied by its own clients alone replays no fold step, and a dirty
+// child restarts the fold at its position from the preceding step's
+// retained output.
 func (s *QoSSolver) solveNode(j, w int) error {
-	ar, sc, ms := &s.arenas[w], &s.bps[w], &s.mstats[w]
-	t := s.t
-	D := t.Depth(j)
-	kids := t.Children(j)
-	accRows := D + 1 // child requirements live in 0..D
-
-	// Fold restart point (see dpDriver.foldStart). The knapsack merge
-	// never reads node j's own demand (only the closures below do), so
-	// a node dirtied by its own clients alone replays zero fold steps,
-	// and a dirty child restarts the fold at its position, decoding the
-	// preceding step's retained output snapshot as the accumulator.
-	start := s.foldStart(j, w, kids, false, func(q int) bool { return s.qsteps[kids[q]].comp })
-
-	// Knapsack merge of the children: acc cell (r, L) is the
-	// minimal sum of child flows using r replicas below, every
-	// child bound <= L and every child link within its bandwidth.
-	// Every child's tab block has row width accRows too (its depth
-	// is D+1), so rows align without re-indexing.
-	var acc []int
-	sz := 0
-	if start == 0 {
-		acc = ar.alloc(accRows) // the single r = 0 row, all zero
-		for L := range acc {
-			acc[L] = 0
-		}
-	} else {
-		for _, ch := range kids[:start] {
-			sz += s.size[ch]
-		}
-		prev := &s.qsteps[kids[start-1]]
-		acc = ar.alloc((sz + 1) * accRows)
-		for L := 0; L < accRows; L++ {
-			decodeRunsIntStrided(prev.outRuns[prev.outOff[L]:prev.outOff[L+1]],
-				acc[L:], sz+1, accRows, qInf)
-		}
+	sc := &s.bps[w]
+	kids := s.t.Children(j)
+	for st := s.foldStart(j, w, kids, false, nil); st < len(kids); st++ {
+		s.merge(j, st, kids[st], sc, &s.mstats[w])
 	}
-	for st := start; st < len(kids); st++ {
-		child := kids[st]
-		csz := s.size[child]
-		bw := s.c.Bandwidth(child)
-		ctab := s.tabs[child]
-		next := ar.alloc((sz + csz + 1) * accRows)
-		step := &s.qsteps[child]
-		if sz+csz+1 >= minDenseWidth &&
-			s.mergeColumns(step, acc, ctab, next, sz, csz, accRows, bw, sc, ms) {
-			acc = next
-			sz += csz
-			continue
-		}
-		step.comp = false
-		ms.cells += (sz + 1) * (csz + 1) * accRows
-		for i := range next {
-			next[i] = qInf
-		}
-		// Stale split cells are never read: build only follows
-		// cells whose next value was written when the parent's
-		// table was last rebuilt, and every value write refreshes
-		// its split.
-		s.splits[child] = grown(s.splits[child], (sz+csz+1)*accRows)
-		spl := s.splits[child]
-		for r1 := 0; r1 <= sz; r1++ {
-			for r2 := 0; r2 <= csz; r2++ {
-				o := (r1 + r2) * accRows
-				for L := 0; L < accRows; L++ {
-					a := acc[r1*accRows+L]
-					f := ctab[r2*accRows+L]
-					if a >= qInf || f >= qInf || (bw >= 0 && f > bw) {
-						continue
-					}
-					if v := a + f; v < next[o+L] {
-						next[o+L] = v
-						spl[o+L] = r2
-					}
-				}
-			}
-		}
-		acc = next
-		sz += csz
-	}
-	s.size[j] = sz + 1
-
-	own := t.ClientSum(j)
-	ownL := 0 // minimal server depth the node's own clients tolerate
-	for k, dem := range t.Clients(j) {
-		if dem > 0 {
-			if l := s.c.MinServerDepth(j, k, D); l > ownL {
-				ownL = l
-			}
-		}
-	}
-
-	rows := s.tabRows(j)
-	s.tabs[j] = grown(s.tabs[j], (s.size[j]+1)*rows)
-	s.choices[j] = grown(s.choices[j], (s.size[j]+1)*rows)
-	tab, ch := s.tabs[j], s.choices[j]
-	for r := 0; r <= s.size[j]; r++ {
-		o := r * rows
-		for L := 0; L < rows; L++ {
-			tab[o+L] = qInf
-		}
-		// Equip j: the whole traversing flow is absorbed here, so
-		// nothing escapes and no requirement remains (own clients
-		// are 1 hop away, within any positive QoS bound).
-		if r >= 1 {
-			if a := acc[(r-1)*accRows+D]; a < qInf && own+a <= s.w {
-				for L := 0; L < rows; L++ {
-					tab[o+L] = 0
-					ch[o+L] = qEquip
-				}
-			}
-		}
-		// Let the flow pass: only while every contributing client
-		// tolerates a server at depth <= D-1.
-		if j != t.Root() {
-			for L := ownL; L < rows && r <= sz; L++ {
-				if a := acc[r*accRows+L]; a < qInf {
-					if f := own + a; f < tab[o+L] {
-						tab[o+L] = f
-						ch[o+L] = qEscape
-					}
-				}
-			}
-		} else if own == 0 && r <= sz && acc[r*accRows] == 0 && tab[o] > 0 {
-			// The root has no ancestor: passing is only "nothing to
-			// pass".
-			tab[o] = 0
-			ch[o] = qEscape
-		}
-	}
+	s.close(j, sc)
 	return nil
 }
 
-// mergeColumns runs one knapsack fold step on breakpoints: every
-// requirement column of the accumulator and of the (bandwidth-
-// filtered) child table is encoded, convolved with bpConv, decoded
-// into the dense next block, and the input/output runs are retained in
-// step for lazy split reconstruction and partial fold replays. The
-// bandwidth filter is a run-prefix drop: child column values decrease
-// with the replica count, so the cells over the link's bandwidth are
-// exactly the leading runs. Returns false — sending the caller to the
-// dense kernel — when any column violates the monotone contract.
-func (s *QoSSolver) mergeColumns(step *qStep, acc, ctab, next []int, sz, csz, accRows, bw int, sc *bpScratch, ms *mergeStats) bool {
-	step.inOff = grown(step.inOff, accRows+1)
-	inRuns := step.inRuns[:0]
-	for L := 0; L < accRows; L++ {
-		step.inOff[L] = int32(len(inRuns))
-		runs, ok := encodeRunsIntStrided(acc[L:], sz+1, accRows, qInf, sc.tmp)
-		sc.tmp = runs
-		if !ok {
-			step.inRuns = inRuns
-			return false
-		}
-		inRuns = append(inRuns, runs...)
+// stepIn returns row L of the accumulator entering fold step st of
+// node j, and the row's last cell: the empty fold's zero cell for the
+// first step, the previous step's output otherwise. Step len(kids) is
+// the finished fold. A cell (r, L) holds the least sum of child flows
+// using r replicas below, with every child bound <= L and every child
+// link within its bandwidth.
+func (s *QoSSolver) stepIn(j, st int, L int32) ([]bpRun, int32) {
+	if st == 0 {
+		return s.zero[:], 0
 	}
-	step.inOff[accRows] = int32(len(inRuns))
-	step.inRuns = inRuns
+	acc := &s.steps[j][st-1]
+	return acc.row(L), acc.dimN
+}
 
-	sc.cols = grown(sc.cols, accRows+1)
-	colRuns := sc.colRuns[:0]
-	for L := 0; L < accRows; L++ {
-		sc.cols[L] = int32(len(colRuns))
-		runs, ok := encodeRunsIntStrided(ctab[L:], csz+1, accRows, qInf, sc.tmp)
-		sc.tmp = runs
-		if !ok {
-			sc.colRuns = colRuns
-			return false
+// underBandwidth drops the leading runs of a child row above the
+// child link's bandwidth bw (negative: unconstrained). The link carries
+// the child's whole escaping flow, and a monotone row's values only
+// fall along it, so the cells the link cannot carry are exactly the
+// leading runs.
+func underBandwidth(b []bpRun, bw int64) []bpRun {
+	for bw >= 0 && len(b) > 0 && b[0].val > bw {
+		b = b[1:]
+	}
+	return b
+}
+
+// merge runs fold step st of node j, the knapsack merge of child ch
+// into the accumulator: for every requirement L, the min-plus
+// convolution of acc row L with the child's row L under the link's
+// bandwidth, capped at W. Each row holds at most W+1 runs whatever its
+// width, so the step costs a function of run counts.
+func (s *QoSSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
+	c := &s.tabs[ch] // D+1 rows, like the accumulator
+	_, accN := s.stepIn(j, st, 0)
+	dimN := accN + c.dimN
+	bw := int64(s.c.Bandwidth(ch))
+	staged := beginTable(sc.accRuns, c.dimE)
+	for L := int32(0); L <= c.dimE; L++ {
+		a, _ := s.stepIn(j, st, L)
+		if b := underBandwidth(c.row(L), bw); len(a) > 0 && len(b) > 0 {
+			ms.cells += len(a) + len(b)
+			ms.rows += 2
+			staged = append(staged, bpConv(a, b, int64(s.w), dimN, sc)...)
 		}
-		if bw >= 0 {
-			for len(runs) > 0 && runs[0].val > int64(bw) {
-				runs = runs[1:]
+		endRow(staged, c.dimE, L)
+	}
+	keepTable(&s.steps[j][st], c.dimE, dimN, staged)
+	sc.accRuns = staged[:0]
+}
+
+// close writes node j's final table from its finished fold with the
+// node's two closures, taking their pointwise minimum per row:
+//
+//   - equip j: the whole traversing flow is absorbed here, so nothing
+//     escapes and no requirement remains (own clients are 1 hop away,
+//     within any positive QoS bound). That is a zero run from
+//     equipFrom(j);
+//   - let the flow pass, only while every contributing client
+//     tolerates a server at depth <= D-1 (rows L >= ownL): acc row L
+//     plus j's own demand, dropping the runs pushed above W. The root
+//     has no ancestor, so there passing is only "nothing to pass".
+//
+// Equipping wins ties, as build assumes.
+func (s *QoSSolver) close(j int, sc *bpScratch) {
+	t := s.t
+	kids := len(t.Children(j))
+	D := int32(t.Depth(j))
+	dimE := max(D-1, 0)
+	_, accN := s.stepIn(j, kids, 0)
+	own := int64(t.ClientSum(j))
+	ownL := int32(0) // minimal server depth the node's own clients tolerate
+	for k, dem := range t.Clients(j) {
+		if dem > 0 {
+			ownL = max(ownL, int32(s.c.MinServerDepth(j, k, int(D))))
+		}
+	}
+	var eq [1]bpRun
+	equip := eq[:0]
+	if e := s.equipFrom(j); e <= accN+1 {
+		eq[0].start = e
+		equip = eq[:]
+	}
+	staged := beginTable(sc.accRuns, dimE)
+	for L := int32(0); L <= dimE; L++ {
+		a, _ := s.stepIn(j, kids, L)
+		pass := sc.ch[:0]
+		switch {
+		case j == t.Root():
+			if own == 0 && len(a) > 0 && a[len(a)-1].val == 0 {
+				pass = append(pass, a[len(a)-1])
+			}
+		case L >= ownL:
+			for _, run := range a {
+				if v := own + run.val; v <= int64(s.w) {
+					pass = append(pass, bpRun{start: run.start, val: v})
+				}
 			}
 		}
-		colRuns = append(colRuns, runs...)
+		row := envMin(equip, pass, sc.tmp)
+		staged = append(staged, row...)
+		endRow(staged, dimE, L)
+		sc.ch, sc.tmp = pass[:0], row[:0]
 	}
-	sc.cols[accRows] = int32(len(colRuns))
-	sc.colRuns = colRuns
-
-	step.outOff = grown(step.outOff, accRows+1)
-	outRuns := step.outRuns[:0]
-	for L := 0; L < accRows; L++ {
-		step.outOff[L] = int32(len(outRuns))
-		aR := step.inRuns[step.inOff[L]:step.inOff[L+1]]
-		cR := sc.colRuns[sc.cols[L]:sc.cols[L+1]]
-		var res []bpRun
-		if len(aR) > 0 && len(cR) > 0 {
-			// Sums at or past qInf are infeasible in the dense kernel
-			// (they never beat the qInf fill), so cap them out here.
-			res = bpConv(aR, cR, int64(qInf)-1, int32(sz+csz), sc)
-		}
-		ms.cells += len(aR) + len(cR) + len(res)
-		outRuns = append(outRuns, res...)
-		decodeRunsIntStrided(res, next[L:], sz+csz+1, accRows, qInf)
-	}
-	step.outOff[accRows] = int32(len(outRuns))
-	step.outRuns = outRuns
-	step.comp = true
-	ms.rows += 2 * accRows
-	return true
+	keepTable(&s.tabs[j], dimE, accN+1, staged)
+	sc.accRuns = staged[:0]
 }
 
-// lazySplit reconstructs the split the dense kernel would have
-// recorded for output cell (rp, L) of child's compressed fold step:
-// the dense loop visits the cell's candidate splits in ascending r1 =
-// rp - r2 order and keeps the first strict improvement, so the
-// recorded r2 belongs to the smallest r1 achieving the cell's final
-// value. pre is the replica capacity of the accumulator the step
-// merged into (the sum of the preceding children's sizes).
-func (s *QoSSolver) lazySplit(child, rp, L, accRows, pre int) int {
-	step := &s.qsteps[child]
-	v := bpAt(step.outRuns[step.outOff[L]:step.outOff[L+1]], int32(rp))
-	if v >= bpInfVal {
-		panic(fmt.Sprintf("core: reconstruction reached infeasible cell (%d,%d) at child %d", rp, L, child))
+// equipFrom returns the least replica count at which node j can be
+// equipped: one past the first cell of its finished fold's row D whose
+// flow fits beside j's own clients (the acc row is monotone, so every
+// later cell fits too), or past the table's end when none does.
+func (s *QoSSolver) equipFrom(j int) int32 {
+	a, accN := s.stepIn(j, len(s.t.Children(j)), int32(s.t.Depth(j)))
+	room := int64(s.w) - int64(s.t.ClientSum(j))
+	for _, run := range a {
+		if run.val <= room {
+			return run.start + 1
+		}
 	}
-	inR := step.inRuns[step.inOff[L]:step.inOff[L+1]]
-	ctab := s.tabs[child]
-	csz := s.size[child]
-	bw := s.c.Bandwidth(child)
-	cFirst := firstFeasibleStrided(ctab, L, csz, accRows)
-	for p := range inR {
-		rs, va := inR[p].start, inR[p].val
+	return accN + 2
+}
+
+// beginTable starts staging a table of dimE+1 rows in buf, leading
+// with the header of a multi-row table (see bpTable).
+func beginTable(buf []bpRun, dimE int32) []bpRun {
+	buf = buf[:0]
+	if dimE > 0 {
+		buf = append(buf, make([]bpRun, dimE+2)...)
+		buf[0].start = dimE + 2
+	}
+	return buf
+}
+
+// endRow closes row L of a table staged by beginTable.
+func endRow(buf []bpRun, dimE, L int32) {
+	if dimE > 0 {
+		buf[L+1].start = int32(len(buf))
+	}
+}
+
+// keepTable copies a staged table into t's retained buffer, which
+// therefore grows at most once per solve.
+func keepTable(t *bpTable, dimE, dimN int32, staged []bpRun) {
+	t.dimE, t.dimN = dimE, dimN
+	t.runs = grownSpare(t.runs, len(staged))
+	copy(t.runs, staged)
+}
+
+// split returns the acc cell r1 that cell (r, L) of fold step st of
+// node j came from, child ch taking the other r-r1 replicas: the one a
+// dense knapsack scan would have recorded. That scan visits r1
+// ascending and keeps the first strict improvement, so the split is the
+// least r1 reaching the cell's value v. Every acc run above v is
+// beaten, and within a run the matching child cells form one interval
+// of the monotone child row (see MinCostSolver.decide).
+func (s *QoSSolver) split(j, st, ch int, r, L int32) int32 {
+	v := bpAt(s.steps[j][st].row(L), r)
+	if v >= bpInfVal {
+		panic(fmt.Sprintf("core: reconstruction reached infeasible cell (%d,%d) at node %d step %d", r, L, j, st))
+	}
+	a, accN := s.stepIn(j, st, L)
+	c := &s.tabs[ch]
+	b := underBandwidth(c.row(L), int64(s.c.Bandwidth(ch)))
+	for p := range a {
+		rs, va := a[p].start, a[p].val
 		if va > v {
-			continue // every candidate of this run is beaten
-		}
-		re := int32(pre)
-		if p+1 < len(inR) {
-			re = inR[p+1].start - 1
-		}
-		cvT := v - va
-		if bw >= 0 && cvT > int64(bw) {
-			continue // the dense kernel drops over-bandwidth flows
-		}
-		cl, cr, ok := valueRunStrided(ctab, L, cFirst, int32(csz), accRows, cvT)
-		if !ok {
 			continue
 		}
-		if lo, hi := max(rs, int32(rp)-cr), min(re, int32(rp)-cl); lo <= hi {
-			return rp - int(lo)
+		re := accN
+		if p+1 < len(a) {
+			re = a[p+1].start - 1
+		}
+		if cl, cr, ok := runSpan(b, v-va, c.dimN); ok {
+			if lo, hi := max(rs, r-cr), min(re, r-cl); lo <= hi {
+				return lo
+			}
 		}
 	}
-	panic(fmt.Sprintf("core: no split for cell (%d,%d) at child %d", rp, L, child))
+	panic(fmt.Sprintf("core: no split for cell (%d,%d) at node %d step %d", r, L, j, st))
 }
 
-// firstFeasibleStrided returns the first replica count whose cell in
-// column L of a monotone strided block is feasible (csz+1 when none).
-func firstFeasibleStrided(tab []int, L, csz, stride int) int32 {
-	lo, hi := int32(0), int32(csz+1)
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if tab[int(mid)*stride+L] >= qInf {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// valueRunStrided locates the replica-count interval [cl, cr] of
-// column L holding exactly value v, searching the feasible region
-// [first, last] of the monotone strided block.
-func valueRunStrided(tab []int, L int, first, last int32, stride int, v int64) (cl, cr int32, ok bool) {
-	lo, hi := first, last+1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if int64(tab[int(mid)*stride+L]) <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo > last || int64(tab[int(lo)*stride+L]) != v {
-		return 0, 0, false
-	}
-	cl = lo
-	hi = last + 1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if int64(tab[int(mid)*stride+L]) < v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return cl, lo - 1, true
-}
-
-// build reconstructs the placement behind tab cell (r, L) of node j
-// into res.
-func (s *QoSSolver) build(res *tree.Replicas, j, r, L int) {
-	kids := s.t.Children(j)
-	accRows := s.t.Depth(j) + 1
-	accR, accRow := r, L
-	if s.choices[j][r*s.tabRows(j)+L] == qEquip {
+// build reconstructs the placement behind cell (r, L) of node j's
+// table into res. j is equipped exactly when r lies in its equip run:
+// the dense closures write the equip option first and the pass option
+// only on a strict improvement, and no flow beats the equip run's 0.
+// The fold steps are then unwound last to first, each handing its
+// child the replicas split leaves it.
+func (s *QoSSolver) build(res *tree.Replicas, j int, r, L int32) {
+	if r >= s.equipFrom(j) {
 		res.Set(j, 1)
-		accR, accRow = r-1, s.t.Depth(j)
+		r, L = r-1, int32(s.t.Depth(j))
 	}
-	pre := 0
-	for _, child := range kids {
-		pre += s.size[child]
+	kids := s.t.Children(j)
+	for st := len(kids) - 1; st >= 0; st-- {
+		r1 := s.split(j, st, kids[st], r, L)
+		s.build(res, kids[st], r-r1, L)
+		r = r1
 	}
-	for i := len(kids) - 1; i >= 0; i-- {
-		child := kids[i]
-		pre -= s.size[child]
-		var r2 int
-		if s.qsteps[child].comp {
-			r2 = s.lazySplit(child, accR, accRow, accRows, pre)
-		} else {
-			r2 = s.splits[child][accR*accRows+accRow]
-		}
-		s.build(res, child, r2, accRow)
-		accR -= r2
+	if r != 0 {
+		panic(fmt.Sprintf("core: reconstruction reached invalid base %d at node %d", r, j))
 	}
 }
