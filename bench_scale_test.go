@@ -113,6 +113,7 @@ func BenchmarkScaleColdSolve(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
 				solver := core.NewMinCostSolver(t)
 				solver.SetWorkers(workers)
+				defer solver.SetWorkers(1)
 				dst := tree.ReplicasOf(t)
 				if _, err := solver.SolveInto(nil, scaleW, cost.Simple{}, dst); err != nil {
 					b.Fatal(err)
@@ -122,6 +123,41 @@ func BenchmarkScaleColdSolve(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					solver.Invalidate()
 					if _, err := solver.SolveInto(nil, scaleW, cost.Simple{}, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(solver.Stats().MergeCellsScanned), "merge-cells/op")
+			})
+		}
+	}
+}
+
+// BenchmarkScaleQoSColdSolve times a full (invalidated) QoS solve of a
+// mega tree, sequentially and wave-parallel, under a 4-hop QoS bound on
+// every client and a bandwidth of 50 on every link. Every node's own
+// demand fits in scaleW, so equipping the client nodes always serves
+// the instance. Each table row holds at most scaleW+1 runs, so the
+// merge work follows the tree size and height, not the subtree widths.
+func BenchmarkScaleQoSColdSolve(b *testing.B) {
+	for _, n := range scaleSizes() {
+		t := scaleTree(b, n)
+		cons := tree.NewConstraints(t)
+		cons.SetUniformQoS(t, 4)
+		cons.SetUniformBandwidth(50)
+		for _, workers := range scaleWorkers() {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				solver := core.NewQoSSolver(t)
+				solver.SetWorkers(workers)
+				defer solver.SetWorkers(1)
+				dst := tree.ReplicasOf(t)
+				if _, err := solver.Solve(scaleW, cons, dst); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					solver.Invalidate()
+					if _, err := solver.Solve(scaleW, cons, dst); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -145,6 +181,7 @@ func BenchmarkScaleDriftStep(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
 				solver := core.NewMinCostSolver(t)
 				solver.SetWorkers(workers)
+				defer solver.SetWorkers(1)
 				dst := tree.ReplicasOf(t)
 				for warm := 0; warm < 2; warm++ {
 					for _, j := range nodes {
@@ -322,6 +359,7 @@ func BenchmarkParallelDPSteadyState(b *testing.B) {
 			_, err := solver.Solve(10, cons, dst)
 			return err
 		})
+		b.ReportMetric(float64(solver.Stats().MergeCellsScanned), "merge-cells/op")
 	})
 
 	b.Run("power", func(b *testing.B) {

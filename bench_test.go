@@ -322,6 +322,7 @@ func BenchmarkQoSSolverReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(solver.Stats().MergeCellsScanned), "merge-cells/op")
 }
 
 // --- Incremental re-solve micro-benchmarks (dirty ancestor chains) ---
@@ -380,6 +381,7 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		cells := 0
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -389,7 +391,9 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 			if _, err := solver.Solve(10, cons, dst); err != nil {
 				b.Fatal(err)
 			}
+			cells += solver.Stats().MergeCellsScanned
 		}
+		b.ReportMetric(float64(cells)/float64(b.N), "merge-cells/op")
 	})
 
 	b.Run("power/drift3", func(b *testing.B) {
