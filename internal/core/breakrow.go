@@ -50,10 +50,10 @@ const bpInfVal = int64(1) << 62
 // rows (leaf-level tables) stay dense, where the plain loop is cheaper
 // than encoding; wide rows — the subtree-bounded tables near the top
 // of a big tree — compress to at most W+2 runs. MinCostSolver and
-// QoSSolver run on breakpoints at every width and ignore it. It is a variable so tests
-// can lower it to force compression on small trees (and raise it to
-// force the dense path), cross-checking both kernels on the same
-// instances.
+// QoSSolver run on breakpoints at every width and ignore it. It is a
+// variable so tests can lower it to force compression on small trees
+// (and raise it to force the dense path), cross-checking both kernels
+// on the same instances.
 var minDenseWidth = 64
 
 // encodeRuns32 compresses a dense int32 row whose infeasible sentinel

@@ -14,10 +14,12 @@ import (
 // breakpoint-compressed merge kernels must be byte-identical — same
 // placements, fronts and costs, same tie-breaks — to solves running
 // the dense kernels, over cold solves and drift sequences at every
-// worker count. The activation width is forced down to 2 so the small
-// differential trees exercise the compressed path in ordinary CI runs
-// (the default 64 only engages on at-scale tables), and forced high to
-// pin the reference to the dense kernels.
+// worker count. MinCost and QoS run on breakpoints only and are checked
+// against test-only dense references. For the power DP the activation
+// width is forced down to 2 so the small differential trees exercise
+// the compressed path in ordinary CI runs (the default 64 only engages
+// on at-scale tables), and forced high to pin the reference to the
+// dense kernel.
 
 const (
 	forceCompressed = 2

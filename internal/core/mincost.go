@@ -63,7 +63,8 @@ func MinReplicaCount(t *tree.Tree, W int) (int, error) {
 // is one buffer. A cell holds the least load escaping the subtree with
 // exactly e reused and n new servers inside it. Every row obeys the
 // monotone-row contract by theorem (see the package documentation), so
-// it needs no dense form.
+// it needs no dense form. QoSSolver stores its tables the same way, one
+// row per QoS requirement along the replica count.
 type bpTable struct {
 	dimE, dimN int32
 	runs       []bpRun

@@ -208,7 +208,7 @@ func (s *QoSSolver) solveNode(j, w int) error {
 	for st := s.foldStart(j, w, kids, false, nil); st < len(kids); st++ {
 		s.merge(j, st, kids[st], sc, &s.mstats[w])
 	}
-	s.close(j, sc)
+	s.applyClosures(j, sc)
 	return nil
 }
 
@@ -262,8 +262,9 @@ func (s *QoSSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
 	sc.accRuns = staged[:0]
 }
 
-// close writes node j's final table from its finished fold with the
-// node's two closures, taking their pointwise minimum per row:
+// applyClosures writes node j's final table from its finished fold
+// with the node's two closures, taking their pointwise minimum per
+// row:
 //
 //   - equip j: the whole traversing flow is absorbed here, so nothing
 //     escapes and no requirement remains (own clients are 1 hop away,
@@ -275,7 +276,7 @@ func (s *QoSSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
 //     has no ancestor, so there passing is only "nothing to pass".
 //
 // Equipping wins ties, as build assumes.
-func (s *QoSSolver) close(j int, sc *bpScratch) {
+func (s *QoSSolver) applyClosures(j int, sc *bpScratch) {
 	t := s.t
 	kids := len(t.Children(j))
 	D := int32(t.Depth(j))
