@@ -379,5 +379,6 @@ func BenchmarkParallelDPSteadyState(b *testing.B) {
 			}
 			return err
 		})
+		b.ReportMetric(float64(dp.Stats().MergeCellsScanned), "merge-cells/op")
 	})
 }

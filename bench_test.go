@@ -127,14 +127,14 @@ func BenchmarkScaleMinCost500(b *testing.B) {
 // take a few seconds here — see cmd/replicasim -scale -full).
 func BenchmarkScalePowerNoPre150(b *testing.B) {
 	t := tree.MustGenerate(tree.PowerConfig(150), replicatree.NewRNG(exper.DefaultSeed))
+	prob := core.PowerProblem{Tree: t, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolvePower(core.PowerProblem{
-			Tree: t, Power: exper.Exp3Power(), Cost: exper.Exp3Cost(),
-		}); err != nil {
+		if _, err := core.SolvePower(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPowerMergeCells(b, prob)
 }
 
 // BenchmarkScalePowerWithPre50 times the power DP with 8 pre-existing
@@ -415,6 +415,7 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		cells := 0
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -428,7 +429,9 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 			if _, ok := solver.BestInto(math.Inf(1), dst); !ok {
 				b.Fatal("no solution")
 			}
+			cells += dp.Stats().MergeCellsScanned
 		}
+		b.ReportMetric(float64(cells)/float64(b.N), "merge-cells/op")
 	})
 
 }
@@ -549,6 +552,7 @@ func BenchmarkPooledSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		cells := 0
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -560,7 +564,9 @@ func BenchmarkPooledSweep(b *testing.B) {
 			if _, ok := solver.BestInto(math.Inf(1), dst); !ok {
 				b.Fatal("no solution")
 			}
+			cells += dp.Stats().MergeCellsScanned
 		}
+		b.ReportMetric(float64(cells)/float64(b.N), "merge-cells/op")
 	})
 }
 
