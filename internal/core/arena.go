@@ -1,11 +1,11 @@
 package core
 
-// arena is the flat scratch allocator behind PowerDP's dense merges
-// (MinCostSolver and QoSSolver merge on runs and need none). The
-// driver owns one arena per worker; a solve resets the arena and
-// carves its merge intermediates out of one backing buffer (everything that must
-// outlive the solve — final node tables, reconstruction back-pointers
-// — lives in the retained per-node buffers of incremental.go instead).
+// arena is the flat scratch allocator behind PowerDP's merges: table
+// shapes, row lists and digit vectors (MinCostSolver and QoSSolver need
+// none). The driver owns one arena per worker and resets it per node,
+// whose merge intermediates are carved out of one backing buffer
+// (everything that must outlive the node — its step tables and shapes
+// — lives in the retained per-node buffers instead).
 // The reset fits the buffer to the high-water mark of the solves
 // before it, so the buffer only ever grows: a one-shot solve pays
 // nothing for fitting, and from the third solve of a given instance

@@ -2,27 +2,27 @@ package core
 
 // This file implements the breakpoint-compressed representation of
 // monotone DP rows and the row algebra the solvers' merge kernels run
-// on: encode/decode, pointwise minimum, min-plus convolution, and the
-// place-aware fold step of the replica merges.
+// on: point lookup, pointwise minimum, min-plus convolution, shifts and
+// the place-aware fold step of the replica merges.
 //
 // The monotone-row contract. A DP row v(0..n-1) is monotone when
 //
-//  1. its infeasible cells (cells equal to the solver's sentinel:
-//     pUnreached for PowerDP; MinCostSolver and QoSSolver keep no
-//     dense rows) form a prefix of the row, and
+//  1. its infeasible cells form a prefix of the row, and
 //  2. its feasible values are non-increasing left to right.
 //
 // Every row produced by the three dynamic programs satisfies the
 // contract along its resource axis (new servers, mode-M servers,
 // replicas): spending one more unit of the resource can always be done
 // by equipping one more node, which never increases the escaping
-// load. MinCostSolver and QoSSolver rely on this theorem and store
-// runs only; QoSSolver counts a flow above W as infeasible, which no
-// ancestor could absorb anyway, and without which its rows would break
-// the contract. The power DP *verifies* it instead: encode returns
-// ok=false on any violation and the caller falls back to the dense
-// kernel, so its compression is exact unconditionally — the proof only
-// predicts that the fallback never triggers.
+// load. All three solvers rely on this theorem and store runs only.
+// QoSSolver counts a flow above W as infeasible, which no ancestor
+// could absorb anyway, and without which its rows would break the
+// contract. In a power row the theorem holds up to the row's effective
+// length, the non-pre nodes left after the other modes' new servers:
+// below it a free non-pre node exists by pigeonhole, and a mode-M
+// server there absorbs the flow through it, which is at most W_M (the
+// flow reaches a server of capacity at most W_M or escapes as a
+// reached value, at most W_M).
 //
 // Under the contract a width-n row with values in {0..W} carries at
 // most W+2 distinct states (W+1 values plus the infeasible prefix), so
@@ -41,63 +41,9 @@ type bpRun struct {
 }
 
 // bpInfVal is the internal +inf of the row algebra. Strictly larger
-// than any encodable value (encode rejects values >= bpInfVal) and
-// small enough that sums of two values never overflow int64.
+// than any table value and small enough that sums of two values never
+// overflow int64.
 const bpInfVal = int64(1) << 62
-
-// minDenseWidth is the row width from which the power DP's merge
-// kernel switches from the dense scan to breakpoint compression. Narrow
-// rows (leaf-level tables) stay dense, where the plain loop is cheaper
-// than encoding; wide rows — the subtree-bounded tables near the top
-// of a big tree — compress to at most W+2 runs. MinCostSolver and
-// QoSSolver run on breakpoints at every width and ignore it. It is a
-// variable so tests can lower it to force compression on small trees
-// (and raise it to force the dense path), cross-checking both kernels
-// on the same instances.
-var minDenseWidth = 64
-
-// encodeRuns32 compresses a dense int32 row whose infeasible sentinel
-// is inval. Returns ok=false — with dst truncated arbitrarily — when
-// the row violates the monotone contract (an interior infeasible cell
-// or an increasing step); the caller must then use the dense kernel.
-func encodeRuns32(row []int32, inval int32, dst []bpRun) ([]bpRun, bool) {
-	dst = dst[:0]
-	i := 0
-	for i < len(row) && row[i] == inval {
-		i++
-	}
-	last := bpInfVal
-	for ; i < len(row); i++ {
-		if row[i] == inval {
-			return dst, false
-		}
-		v := int64(row[i])
-		if v > last {
-			return dst, false
-		}
-		if v < last {
-			dst = append(dst, bpRun{start: int32(i), val: v})
-			last = v
-		}
-	}
-	return dst, true
-}
-
-// decodeRuns32 expands runs into the dense row, filling cells before
-// the first run with inval. Exact inverse of encodeRuns32.
-func decodeRuns32(runs []bpRun, row []int32, inval int32) {
-	end := len(row)
-	for p := len(runs) - 1; p >= 0; p-- {
-		v := int32(runs[p].val)
-		for i := int(runs[p].start); i < end; i++ {
-			row[i] = v
-		}
-		end = int(runs[p].start)
-	}
-	for i := 0; i < end; i++ {
-		row[i] = inval
-	}
-}
 
 // bpAt returns the row value at cell k, or bpInfVal when k lies in the
 // infeasible prefix.
@@ -152,21 +98,27 @@ func envMin(a, b, dst []bpRun) []bpRun {
 	return dst
 }
 
-// bpScratch holds the grow-only temporaries of the compressed merge
-// kernels, one per worker. Every buffer follows the arena contract:
-// reused across merges, never shrunk, so steady-state solves stay
-// allocation-free once grown to the high-water mark.
+// envMinInto folds src into the accumulated row acc, using spare as
+// the envMin destination, and returns the new row plus the displaced
+// buffer (so the two storages ping-pong without allocating).
+func envMinInto(acc, src, spare []bpRun) (row, next []bpRun) {
+	if len(acc) == 0 {
+		return append(acc, src...), spare
+	}
+	return envMin(acc, src, spare[:0]), acc
+}
+
+// bpScratch holds the grow-only temporaries of the merge kernels, one
+// per worker. Every buffer follows the arena contract: reused across
+// merges, never shrunk, so steady-state solves stay allocation-free
+// once grown to the high-water mark.
 type bpScratch struct {
-	acc, ch    []bpRun   // encoded input rows
-	frag       []bpRun   // per-run candidate fragment
-	res, alt   []bpRun   // fold ping-pong buffers
-	tmp        []bpRun   // envMin destination for row accumulation
-	rows       [][]bpRun // per-output-row accumulated runs (PowerDP)
-	accOff     []int32   // per-row offsets into accRuns (PowerDP)
-	accRuns    []bpRun
-	modeStarts []int32 // per (child row, mode) staircase starts (PowerDP)
-	cols       []int32 // per-child-row offsets into colRuns (PowerDP)
-	colRuns    []bpRun
+	acc, ch  []bpRun   // row accumulator and shifted-row buffer
+	frag     []bpRun   // per-run candidate fragment
+	res, alt []bpRun   // fold ping-pong buffers
+	tmp      []bpRun   // envMin destination for row accumulation
+	rows     [][]bpRun // accumulators of the touched output rows (PowerDP)
+	accRuns  []bpRun   // a table staged before it is kept
 }
 
 // cover grows every buffer of sc to at least the capacity of o's
@@ -176,9 +128,6 @@ func (sc *bpScratch) cover(o *bpScratch) {
 	for i, p := range sc.runBufs() {
 		fitCap(p, *o.runBufs()[i])
 	}
-	fitCap(&sc.accOff, o.accOff)
-	fitCap(&sc.modeStarts, o.modeStarts)
-	fitCap(&sc.cols, o.cols)
 	if len(sc.rows) < len(o.rows) {
 		sc.rows = grownKeep(sc.rows, len(o.rows))
 	}
@@ -188,8 +137,8 @@ func (sc *bpScratch) cover(o *bpScratch) {
 }
 
 // runBufs lists the flat run buffers of sc.
-func (sc *bpScratch) runBufs() [8]*[]bpRun {
-	return [8]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp, &sc.accRuns, &sc.colRuns}
+func (sc *bpScratch) runBufs() [7]*[]bpRun {
+	return [7]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp, &sc.accRuns}
 }
 
 // fitCap replaces *dst with an empty buffer of src's capacity when its
@@ -252,8 +201,8 @@ func bpConv(a, b []bpRun, maxSum int64, maxStart int32, sc *bpScratch) []bpRun {
 // value, one extra unit of the resource axis), so each acc run
 // contributes at most two breakpoints: the first child run's pair and
 // the equip point one cell later. That makes the whole step linear in
-// the run counts — independent of the row widths the dense kernel
-// pays for. maxStart must not exceed the natural reach accN+chN+1.
+// the run counts — independent of the row widths a dense merge pays
+// for. maxStart must not exceed the natural reach accN+chN+1.
 func bpPlaceMerge(a, b []bpRun, maxSum int64, maxStart int32, sc *bpScratch) []bpRun {
 	res, alt := sc.res[:0], sc.alt[:0]
 	for i := range a {
@@ -267,7 +216,7 @@ func bpPlaceMerge(a, b []bpRun, maxSum int64, maxStart int32, sc *bpScratch) []b
 		}
 		// The equip point: value a[i].val from one cell past the
 		// child's first feasible cell. Equipping is never cap-checked —
-		// the child's load is absorbed, matching the dense kernel.
+		// the child's load is absorbed, matching the dense merge.
 		if s := a[i].start + b[0].start + 1; s <= maxStart {
 			if n := len(frag); n == 0 || a[i].val < frag[n-1].val {
 				frag = append(frag, bpRun{start: s, val: a[i].val})

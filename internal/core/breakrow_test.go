@@ -6,6 +6,49 @@ import (
 	"testing"
 )
 
+// encodeRuns32 compresses a dense int32 row whose infeasible sentinel
+// is inval, the tests' check of the monotone contract. Returns
+// ok=false — with dst truncated arbitrarily — when the row violates it
+// (an interior infeasible cell or an increasing step).
+func encodeRuns32(row []int32, inval int32, dst []bpRun) ([]bpRun, bool) {
+	dst = dst[:0]
+	i := 0
+	for i < len(row) && row[i] == inval {
+		i++
+	}
+	last := bpInfVal
+	for ; i < len(row); i++ {
+		if row[i] == inval {
+			return dst, false
+		}
+		v := int64(row[i])
+		if v > last {
+			return dst, false
+		}
+		if v < last {
+			dst = append(dst, bpRun{start: int32(i), val: v})
+			last = v
+		}
+	}
+	return dst, true
+}
+
+// decodeRuns32 expands runs into the dense row, filling cells before
+// the first run with inval. Exact inverse of encodeRuns32.
+func decodeRuns32(runs []bpRun, row []int32, inval int32) {
+	end := len(row)
+	for p := len(runs) - 1; p >= 0; p-- {
+		v := int32(runs[p].val)
+		for i := int(runs[p].start); i < end; i++ {
+			row[i] = v
+		}
+		end = int(runs[p].start)
+	}
+	for i := 0; i < end; i++ {
+		row[i] = inval
+	}
+}
+
 // randMonotoneRow builds a random row satisfying the monotone contract:
 // an infeasible prefix of random length (possibly zero, possibly the
 // whole row) followed by non-increasing values in {0..maxV}.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"replicatree/internal/cost"
+	"replicatree/internal/power"
 	"replicatree/internal/rng"
 	"replicatree/internal/tree"
 )
@@ -13,28 +16,9 @@ import (
 // These tests prove the compression contract: solves running the
 // breakpoint-compressed merge kernels must be byte-identical — same
 // placements, fronts and costs, same tie-breaks — to solves running
-// the dense kernels, over cold solves and drift sequences at every
-// worker count. MinCost and QoS run on breakpoints only and are checked
-// against test-only dense references. For the power DP the activation
-// width is forced down to 2 so the small differential trees exercise
-// the compressed path in ordinary CI runs (the default 64 only engages
-// on at-scale tables), and forced high to pin the reference to the
-// dense kernel.
-
-const (
-	forceCompressed = 2
-	forceDense      = 1 << 30
-)
-
-// setDenseWidth swaps the compression activation width, restoring it
-// when the test finishes.
-func setDenseWidth(t *testing.T, w int) func(int) {
-	saved := minDenseWidth
-	t.Cleanup(func() { minDenseWidth = saved })
-	set := func(w int) { minDenseWidth = w }
-	set(w)
-	return set
-}
+// dense kernels, over cold solves and drift sequences at every worker
+// count. All three solvers run on breakpoints only and are checked
+// against test-only dense references.
 
 // TestMinCostCompressedMatchesDense checks the run-native MinCost
 // kernel against the dense reference (denseMinCost) over drift
@@ -130,85 +114,141 @@ func checkRunTables(t *testing.T, s *MinCostSolver, d *denseMinCost) {
 	}
 }
 
-func TestPowerCompressedMatchesDense(t *testing.T) {
-	set := setDenseWidth(t, forceDense)
-	pm := powerModel2()
-	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
-	compressedRows := 0
-	for i := 0; i < reuseTreeCount(t)/2; i++ {
-		src := rng.Derive(227, i)
-		tr := tree.MustGenerate(tree.PowerConfig(18+i%10), src)
-		dense := NewPowerDP(tr)
-		workers := []int{1, 2, 8}
-		comps := make([]*PowerDP, len(workers))
-		dsts := make([]*tree.Replicas, len(workers))
-		for k, w := range workers {
-			comps[k] = NewPowerDP(tr)
-			comps[k].SetWorkers(w)
-			dsts[k] = tree.ReplicasOf(tr)
+// densePower is the test-only dense reference of the power DP: every
+// fold step runs denseMergeOracle on dense tables and keeps its
+// provenance, the dense root table is priced by the root scan, and
+// placements are rebuilt from the dense provenance.
+type densePower struct {
+	t     *tree.Tree
+	prov  [][][]uint64 // per node, per fold step
+	front []frontEntry
+}
+
+// solveDensePower solves prob densely. A PowerDP supplies what the
+// reference shares with the run solver and does not check: input
+// validation, the table shapes (functions of subtree counts) and the
+// root scan, which re-prices the dense root table from scratch.
+func solveDensePower(tr *tree.Tree, prob PowerProblem) (*densePower, error) {
+	d := NewPowerDP(tr)
+	// A solve the scan finds infeasible still commits its tables.
+	if _, err := d.Solve(prob); err != nil && !(errors.Is(err, ErrInfeasible) && d.solved) {
+		return nil, err
+	}
+	r := &densePower{t: tr, prov: make([][][]uint64, tr.N())}
+	vals := make([][]int32, tr.N())
+	shapes := make([]shape, tr.N())
+	for _, j := range tr.PostOrder() {
+		acc, accSh := []int32{int32(tr.ClientSum(j))}, d.unit
+		for st, ch := range tr.Children(j) {
+			outSh := d.steps[j][st].sh
+			out := make([]int32, outSh.size)
+			prov := make([]uint64, outSh.size)
+			denseMergeOracle(d, ch, acc, accSh, vals[ch], shapes[ch], outSh, out, prov)
+			r.prov[j] = append(r.prov[j], prov)
+			acc, accSh = out, outSh
 		}
-		existing := tree.ReplicasOf(tr)
-		for step := 0; step < 8; step++ {
-			driftClients(tr, src.IntN(3), src)
-			if step == 5 && tr.N() > 1 {
-				// A pre-existing server disables compression; the solvers
-				// must fall back to the dense kernel (and replay across
-				// the comp/dense regime change) without diverging.
-				existing.Set(1+src.IntN(tr.N()-1), uint8(1+src.IntN(2)))
+		vals[j], shapes[j] = acc, accSh
+	}
+	copy(d.rootVals, vals[tr.Root()])
+	d.scanOK = false
+	if err := d.scanRoot(); err != nil {
+		return nil, err
+	}
+	r.front = slices.Clone(d.front)
+	if len(r.front) == 0 {
+		return nil, ErrInfeasible
+	}
+	return r, nil
+}
+
+// place rebuilds the placement of front entry f from the dense
+// provenance.
+func (r *densePower) place(f frontEntry) *tree.Replicas {
+	dst := tree.ReplicasOf(r.t)
+	if f.rootMode != 0 {
+		dst.Set(r.t.Root(), f.rootMode)
+	}
+	var walk func(j int, cell int32)
+	walk = func(j int, cell int32) {
+		kids := r.t.Children(j)
+		for st := len(kids) - 1; st >= 0; st-- {
+			aPrev, cCell, mode := unpackProv(r.prov[j][st][cell])
+			if mode != 0 {
+				dst.Set(kids[st], mode)
 			}
-			if step == 7 {
-				existing.Reset() // back to the compressed regime
-			}
-			prob := PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: cm}
-			set(forceDense)
-			want, wantErr := dense.Solve(prob)
-			var wantOpt *PowerResult
-			var wf []ParetoPoint
-			if wantErr == nil {
-				wf = want.Front()
-				wantOpt = want.MinPower()
-			}
-			set(forceCompressed)
-			for k, w := range workers {
-				got, gotErr := comps[k].Solve(prob)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("tree %d step %d workers %d: dense err %v, compressed err %v",
-						i, step, w, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				gf := got.Front()
-				if len(wf) != len(gf) {
-					t.Fatalf("tree %d step %d workers %d: front sizes %d != %d", i, step, w, len(wf), len(gf))
-				}
-				for q := range wf {
-					if wf[q] != gf[q] {
-						t.Fatalf("tree %d step %d workers %d: front[%d] %v != %v", i, step, w, q, wf[q], gf[q])
-					}
-				}
-				gotOpt, ok := got.BestInto(math.Inf(1), dsts[k])
-				if !ok || !wantOpt.Placement.Equal(gotOpt.Placement) ||
-					wantOpt.Cost != gotOpt.Cost || wantOpt.Power != gotOpt.Power {
-					t.Fatalf("tree %d step %d workers %d: dense optimum %v != compressed %v",
-						i, step, w, wantOpt.Placement, gotOpt.Placement)
-				}
-				// A mid-front bound exercises lazy provenance on a
-				// different root cell than the min-power extreme.
-				if len(wf) > 1 {
-					bound := wf[len(wf)/2].Cost
-					wb, _ := want.Best(bound)
-					gb, ok := got.BestInto(bound, dsts[k])
-					if !ok || !wb.Placement.Equal(gb.Placement) || wb.Power != gb.Power {
-						t.Fatalf("tree %d step %d workers %d: bounded optimum diverges", i, step, w)
-					}
-				}
-				compressedRows += comps[k].Stats().RowsCompressed
-			}
+			walk(kids[st], cCell)
+			cell = aPrev
 		}
 	}
-	if compressedRows == 0 {
-		t.Fatal("forced activation width never engaged the compressed kernel")
+	walk(r.t.Root(), f.rootCell)
+	return dst
+}
+
+// TestPowerCompressedMatchesDense checks the run-native power DP
+// against the dense reference (solveDensePower) over drift sequences
+// at one, two and eight workers, under two and three modes: the same
+// error outcomes, the same front, and at every front point the same
+// placement. The sequences drift demands, change initial modes, grow
+// the pre-existing set and empty it.
+func TestPowerCompressedMatchesDense(t *testing.T) {
+	models := []power.Model{powerModel2(), power.MustNew([]int{3, 6, 10}, 12.5, 3)}
+	for _, pm := range models {
+		M := pm.M()
+		cm := cost.UniformModal(M, 0.1, 0.01, 0.001)
+		for i := 0; i < reuseTreeCount(t)/(2*M); i++ {
+			src := rng.Derive(uint64(225+M), i)
+			n := []int{0, 0, 18, 9}[M] + i%10/M
+			tr := tree.MustGenerate(tree.PowerConfig(n), src)
+			workers := []int{1, 2, 8}
+			comps := make([]*PowerDP, len(workers))
+			for k, w := range workers {
+				comps[k] = NewPowerDP(tr)
+				comps[k].SetWorkers(w)
+			}
+			existing, err := tree.RandomReplicas(tr, 1+i%3, M, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 8; step++ {
+				driftClients(tr, src.IntN(3), src)
+				switch step {
+				case 3: // a pre-existing server changes its initial mode
+					j := existing.Nodes()[src.IntN(existing.Count())]
+					existing.Set(j, uint8(1+(int(existing.Mode(j))%M)))
+				case 5:
+					existing.Set(1+src.IntN(tr.N()-1), uint8(1+src.IntN(M)))
+				case 7:
+					existing.Reset()
+				}
+				prob := PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: cm}
+				want, wantErr := solveDensePower(tr, prob)
+				for k, w := range workers {
+					where := fmt.Sprintf("M=%d tree %d step %d workers %d", M, i, step, w)
+					got, gotErr := comps[k].Solve(prob)
+					if (wantErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s: dense err %v, run err %v", where, wantErr, gotErr)
+					}
+					if wantErr != nil {
+						continue
+					}
+					gf := got.Front()
+					if len(gf) != len(want.front) {
+						t.Fatalf("%s: front sizes %d != %d", where, len(gf), len(want.front))
+					}
+					for q, f := range want.front {
+						if gf[q] != (ParetoPoint{Cost: f.cost, Power: f.power}) {
+							t.Fatalf("%s: front[%d] %v != dense %v", where, q, gf[q], f)
+						}
+						if g, w := got.At(q).Placement, want.place(f); !g.Equal(w) {
+							t.Fatalf("%s: front point %d placement %v != dense %v", where, q, g, w)
+						}
+					}
+				}
+			}
+			for _, s := range comps {
+				s.SetWorkers(1)
+			}
+		}
 	}
 }
 

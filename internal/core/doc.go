@@ -35,8 +35,8 @@
 // # The monotone-row contract
 //
 // Every DP row produced by the solvers — traversals indexed by server
-// budget in MinCost and QoS, and by the count of top-mode servers (the
-// innermost axis) in the no-pre power tables — obeys one invariant:
+// budget in MinCost and QoS, and by the count of top-mode servers n_M
+// in the power tables — obeys one invariant:
 // infeasible cells form a prefix of the row, and past it the values are
 // non-increasing in the budget. Such a row is stored exactly as its
 // breakpoints: the short list of (start, value) runs where the value
@@ -69,12 +69,19 @@
 // step tables in the dense scan's order, and the same suite checks it
 // against a test-only dense reference capped at W.
 //
-// Only the power DP still keeps dense tables and compresses rows at
-// least minDenseWidth wide. There the contract is verified at encode
-// time (a violating row falls back to the dense kernel, so compression
-// is exact unconditionally), and results are byte-identical to the
-// dense kernel, which the same suite enforces. In the power tables the
-// invariant holds within each row's effective length (the node budget
-// left after the other mode counts); the tail beyond it is unreachable
-// by pigeonhole, which the encoder also verifies cell by cell.
+// For the power DP, with or without pre-existing servers, the
+// invariant is a theorem along n_M within each row's effective length:
+// the subtree's non-pre nodes left after the other modes' new servers
+// (reuse counts use pre-existing nodes only). Below that length a free
+// non-pre node exists by pigeonhole, and a mode-M server there absorbs
+// the flow through it, which is at most W_M because it either reaches a
+// server of capacity at most W_M or escapes as a reached value; past
+// it the row is unreached by pigeonhole. PowerDP therefore keeps every
+// table as run rows along n_M, one per combination of the other
+// fields, and folds every child with one run kernel; only the root's
+// final table is decoded dense, for the root scan. Decisions are
+// re-derived from the retained step tables in the dense scan's order,
+// and the same suite checks fronts and placements against a test-only
+// dense reference, while minpower_oracle_test.go checks every merge
+// step's values and decisions cell by cell.
 package core

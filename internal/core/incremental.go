@@ -93,18 +93,14 @@ type SolveStats struct {
 	// on a partial replay (a change under the q-th root child keeps q
 	// steps). Stays 0 for MinCostSolver and QoSSolver.
 	RootMergeRetained int
-	// MergeCellsScanned measures the merge work of the solve: the
-	// (accumulated cell, child cell) pairs dense merge kernels evaluate
-	// (PowerDP's only pairs of reached cells) plus the breakpoint runs
-	// the run kernels visit. MinCostSolver and QoSSolver run every
-	// merge on runs, so their count is the sum, over the (acc row,
-	// child row) pairs their merges fold, of the two rows' run counts.
+	// MergeCellsScanned measures the merge work of the solve in run
+	// operations. All three solvers merge on runs, so it is the sum,
+	// over the (acc row, child row) pairs their merges fold, of the two
+	// rows' run counts.
 	MergeCellsScanned int
-	// RowsCompressed counts the DP rows the merge kernels ran in
-	// breakpoint form instead of densely, two (accumulator and child)
-	// per folded row pair. For MinCostSolver and QoSSolver that is
-	// every merged row pair with both rows non-empty; PowerDP counts
-	// only rows at least minDenseWidth wide.
+	// RowsCompressed counts the DP rows the merge kernels folded in
+	// breakpoint form, two (accumulator and child) per merged row pair
+	// with both rows non-empty.
 	RowsCompressed int
 	// FoldSuffixReplayed counts the merge steps re-executed by partial
 	// child-fold replays: a dirty node whose first stale child sits at

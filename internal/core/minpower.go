@@ -47,7 +47,7 @@ type ParetoPoint struct {
 type PowerSolver struct {
 	prob  PowerProblem
 	front []frontEntry // ascending cost, strictly descending power
-	steps [][]pStep    // reconstruction back-pointers per node
+	powerTables
 }
 
 type frontEntry struct {
@@ -57,19 +57,19 @@ type frontEntry struct {
 	rootMode uint8 // 0 = no server on the root
 }
 
-// pUnreached marks table cells with no feasible solution. Valid entries
-// are at most W_M, so any value above wm is "unreached"; MaxInt32 lets
-// every merge update be a single strict comparison.
+// pUnreached marks the cells of a dense table (the decoded root table)
+// with no feasible solution. Valid entries are at most W_M, so any
+// value above wm is "unreached".
 const pUnreached = int32(math.MaxInt32)
 
-// noProv marks cells whose provenance has not been written.
+// noProv is the provenance of an unreached cell.
 const noProv = ^uint64(0)
 
 // packProv encodes where a cell's value came from: the flat cell of the
 // accumulated table before the merge, the flat cell of the merged
 // child's final table, and the mode of a server placed on the child
 // (0 = none). Both flat indices fit in 27 bits (maxTableCells), so the
-// triple packs into one uint64 ordered exactly like the sequential
+// triple packs into one uint64 ordered exactly like a dense merge's
 // scan: ascending accumulated cell, then child cell.
 func packProv(aFlat, cFlat int, mode uint8) uint64 {
 	return uint64(aFlat)<<35 | uint64(cFlat)<<8 | uint64(mode)
@@ -79,20 +79,39 @@ func unpackProv(p uint64) (aFlat, cFlat int32, mode uint8) {
 	return int32(p >> 35), int32(p >> 8 & (1<<27 - 1)), uint8(p)
 }
 
-// pStep is the decision table produced by merging one child: packed
-// provenance per cell of the post-merge table. A step merged by the
-// compressed kernel (comp == true) materialises no provenance;
-// instead it snapshots its encoded input, child and output rows
-// (minpower_compress.go), from which reconstruction re-derives any
-// cell's decision lazily and a suffix replay re-seeds the fold.
+// pStep is the output of one fold step: the merged table as run rows
+// along n_M (one bpTable row per row of the dense layout, see
+// minpower_compress.go) and its dense shape. It is also the next
+// step's input and a fold restart point, and reconstruction re-derives
+// any of its cells' decisions from it (lazyProv).
 type pStep struct {
-	prov []uint64
-
-	comp                    bool
-	accLen, chLen, outLen   int32 // n_M-axis widths of the merged tables
-	inOff, chOff, outOff    []int32
-	inRuns, chRuns, outRuns []bpRun
+	tab bpTable
+	sh  shape
 }
+
+// powerTables is the retained run-form state of the power DP: per node
+// the base cell (the requests of the node's own clients) and the
+// output of every fold step. A node's final table is its last step's
+// output, or its base cell for a leaf.
+type powerTables struct {
+	base  []bpRun
+	steps [][]pStep
+	unit  shape // the shape of a one-cell table
+}
+
+// stepIn returns the accumulated table entering fold step st of node
+// j: the base cell for the first step, the previous step's output
+// otherwise.
+func (p *powerTables) stepIn(j, st int) (bpTable, shape) {
+	if st > 0 {
+		s := &p.steps[j][st-1]
+		return s.tab, s.sh
+	}
+	return bpTable{runs: p.base[j : j+1]}, p.unit
+}
+
+// final returns node j's final table.
+func (p *powerTables) final(j int) (bpTable, shape) { return p.stepIn(j, len(p.steps[j])) }
 
 // SolvePower runs the MinPower-BoundedCost dynamic program. The table of
 // a node is indexed by the full count vector (n_1..n_M, e_{i→i'}): new
@@ -125,19 +144,20 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 		return nil, err
 	}
 	// Detach the solution view from the throwaway PowerDP: the copy
-	// keeps only the front and the provenance tables alive, letting
-	// the value tables (about half the DP's memory) be collected while
-	// the caller holds the solver.
+	// keeps only the front and the run tables reconstruction reads
+	// alive, letting the dense root table and the scan and merge
+	// scratch be collected while the caller holds the solver.
 	detached := *sol
 	return &detached, nil
 }
 
 // PowerDP is a reusable MinPower-BoundedCost solver for one tree.
-// Merge intermediates live in flat arenas and every node's final
-// table, shape and provenance in retained per-node buffers, all grown
-// monotonically to the high-water mark of past solves, so after two
-// warm-up solves of an instance shape every further Solve performs no
-// heap allocation.
+// Every fold step's output table lives as run rows in retained
+// per-node buffers and merge scratch in per-worker arenas, all grown
+// monotonically to the high-water mark of past solves, so after a few
+// warm-up solves of an instance every further Solve performs no heap
+// allocation. Only the root's final table is also kept dense, for the
+// root scan.
 //
 // The retained tables make solves incremental, mode-indexed shapes
 // included: demand edits through tree.Tree.SetDemand dirty the touched
@@ -165,26 +185,22 @@ type PowerDP struct {
 	nf   int   // number of vector fields, M + M²
 	wm   int32 // W_M
 
-	// Per node, retained across solves: final table, its shape, the
-	// per-merge provenance tables (steps[j] has one entry per child of
-	// j), and the subtree (exclusive) counts of non-pre-existing nodes
-	// and of pre-existing nodes per initial mode.
-	shapes []shape
-	vals   [][]int32
-	steps  [][]pStep
+	// Per node, retained across solves: the run tables (steps[j] has
+	// one entry per child of j) and the subtree (exclusive) counts of
+	// non-pre-existing nodes and of pre-existing nodes per initial mode.
+	powerTables
 	newCnt []int32
 	preCnt [][]int32
 
 	// Incremental bookkeeping.
 	lastMode  []uint8
 	lastPower power.Model
-	noPre     bool // no pre-existing servers: compressed merges allowed
 
-	// Root-scan state (minpower_root.go): retained partial root merges,
-	// the previous solve's final root table and per-block Pareto fronts
-	// for the incremental delta-priced scan, plus the pricing context
-	// those fronts were computed under.
-	rootSteps      []rootStep
+	// Root-scan state (minpower_root.go): the dense root table, the
+	// previous solve's copy and per-block Pareto fronts for the
+	// incremental delta-priced scan, plus the pricing context those
+	// fronts were computed under.
+	rootVals       []int32
 	rootRecomputed bool
 	blocks         []rootBlock
 	prevRoot       []int32
@@ -233,8 +249,7 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 	if d.empty == nil || d.empty.N() != n {
 		d.empty = tree.NewReplicas(n)
 	}
-	d.shapes = grownKeep(d.shapes, n)
-	d.vals = grownKeep(d.vals, n)
+	d.base = grown(d.base, n)
 	d.steps = grownKeep(d.steps, n)
 	for j := 0; j < n; j++ {
 		d.steps[j] = grownKeep(d.steps[j], len(t.Children(j)))
@@ -242,8 +257,6 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 	d.newCnt = grown(d.newCnt, n)
 	d.preCnt = grownKeep(d.preCnt, n)
 	d.lastMode = grown(d.lastMode, n)
-	K := len(t.Children(t.Root()))
-	d.rootSteps = grownKeep(d.rootSteps, K)
 
 	d.bind(t)
 }
@@ -263,15 +276,6 @@ func (d *PowerDP) Stats() SolveStats {
 // last commit: a node's own table never depends on its own mode, but
 // every ancestor's count vector does.
 func (d *PowerDP) changed(j int) bool { return d.lastMode[j] != d.prob.Existing.Mode(j) }
-
-// retainNode stores the outcome of node j's fold — its table shape
-// (copied out of arena storage) and its subtree counts — in the
-// node's retained buffers.
-func (d *PowerDP) retainNode(j int, sh shape, accNew int32, accPre []int32) {
-	d.shapes[j].assign(sh)
-	d.newCnt[j] = accNew
-	d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
-}
 
 // Solve runs the dynamic program for one problem instance on the
 // solver's tree (p.Tree may be nil or must match it). The returned
@@ -313,7 +317,12 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 		return nil, fmt.Errorf("core: a node's clients demand %d > W_M=%d: %w", m, p.Power.MaxCap(), ErrInfeasible)
 	}
 	d.prob, d.M, d.nf, d.wm = p, M, M+M*M, int32(p.Power.MaxCap())
-	d.noPre = p.Existing.Count() == 0
+	d.unit.dims = grown(d.unit.dims, d.nf)
+	d.unit.strides = grown(d.unit.strides, d.nf)
+	for f := range d.unit.dims {
+		d.unit.dims[f], d.unit.strides[f] = 1, 1
+	}
+	d.unit.size = 1
 
 	// An invalidated solver (Reset, Invalidate, a failed solve) re-prices
 	// the root scan cold too.
@@ -357,7 +366,7 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 	if len(d.front) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrInfeasible)
 	}
-	d.sol = PowerSolver{prob: p, front: d.front, steps: d.steps}
+	d.sol = PowerSolver{prob: p, front: d.front, powerTables: d.powerTables}
 	return &d.sol, nil
 }
 
@@ -390,101 +399,52 @@ func (d *PowerDP) solveNode(j, w int) error {
 
 // fold re-runs the child fold of dirty node j on worker w from its
 // first stale step (see dpDriver.foldStart) and returns that step, or
-// -1 when the retained table is still exact. The root (root == true)
-// retains every partial merge in rootSteps as a full table, so any
-// step can restart it; elsewhere the fold restarts mid-way only from a
-// compressed step's snapshot, and intermediates live in the worker's
-// arena.
+// -1 when the retained table is still exact. Every step retains its
+// output, so any step can restart the fold. The root (root == true)
+// polls the cancellation gate between its steps.
 func (d *PowerDP) fold(j, w int, root bool) (int, error) {
 	t := d.t
 	ar, sc, ms := &d.arenas[w], &d.bps[w], &d.mstats[w]
 	kids := t.Children(j)
-	snap := func(q int) bool { return d.steps[j][q].comp }
-	if root {
-		snap = nil
-	}
-	start := d.foldStart(j, w, kids, true, snap)
+	start := d.foldStart(j, w, kids, true, nil)
 	if start < 0 {
 		return start, nil
 	}
+	d.base[j] = bpRun{val: int64(t.ClientSum(j))}
 
-	// Accumulated state entering fold step start.
-	var acc []int32
-	var accShape shape
+	// Prefix-fold the already-merged children's counts (their subtrees
+	// and modes are unchanged, so the retained per-child counts still
+	// apply).
 	accNew := int32(0)
 	accPre := ar.alloc(d.M)
-	if root && start > 0 {
-		rs := &d.rootSteps[start-1]
-		acc, accShape, accNew = rs.out, rs.shape, rs.accNew
-		copy(accPre, rs.accPre)
-	} else {
-		// Prefix-fold the already-merged children's counts (their
-		// subtrees and modes are unchanged, so the retained per-child
-		// counts still apply).
+	for i := range accPre {
+		accPre[i] = 0
+	}
+	for _, ch := range kids[:start] {
+		accNew += d.newCnt[ch]
 		for i := range accPre {
-			accPre[i] = 0
+			accPre[i] += d.preCnt[ch][i]
 		}
-		for _, ch := range kids[:start] {
-			accNew += d.newCnt[ch]
-			for i := range accPre {
-				accPre[i] += d.preCnt[ch][i]
-			}
-			if m0 := int(d.prob.Existing.Mode(ch)); m0 == 0 {
-				accNew++
-			} else {
-				accPre[m0-1]++
-			}
-		}
-		accDims := ar.alloc(d.nf)
-		d.nodeDims(accDims, accNew, accPre)
-		var err error
-		if accShape, err = fillShape(accDims, ar.alloc(d.nf)); err != nil {
-			return start, err
-		}
-		switch {
-		case len(kids) == 0:
-			// A leaf's final table is the single base cell holding the
-			// requests of j's own clients.
-			d.vals[j] = grown(d.vals[j], 1)
-			acc = d.vals[j]
-			acc[0] = int32(t.ClientSum(j))
-		case start == 0:
-			acc = ar.alloc(1)
-			acc[0] = int32(t.ClientSum(j))
-		default:
-			acc = ar.alloc(accShape.size)
-			decodeStep(&d.steps[j][start-1], acc, d.M)
+		if m0 := int(d.prob.Existing.Mode(ch)); m0 == 0 {
+			accNew++
+		} else {
+			accPre[m0-1]++
 		}
 	}
-
 	for q := start; q < len(kids); q++ {
-		var dst *[]int32 // nil: an arena intermediate
-		if q == len(kids)-1 {
-			dst = &d.vals[j]
-		}
 		if root {
 			// The root folds the largest merges of the tree, so poll the
 			// cancellation gate between fold steps.
 			if err := d.cancel.err(); err != nil {
 				return start, err
 			}
-			if dst == nil {
-				dst = &d.rootSteps[q].out
-			}
 		}
-		var err error
-		if acc, accShape, err = d.merge(j, q, kids[q], acc, accShape, &accNew, accPre, dst, ar, sc, ms); err != nil {
+		if err := d.merge(j, q, kids[q], &accNew, accPre, ar, sc, ms); err != nil {
 			return start, err
 		}
-		if root && q < len(kids)-1 {
-			// Retain this partial merge for future restarts.
-			rs := &d.rootSteps[q]
-			rs.shape.assign(accShape)
-			rs.accNew = accNew
-			rs.accPre = append(rs.accPre[:0], accPre...)
-		}
 	}
-	d.retainNode(j, accShape, accNew, accPre)
+	d.newCnt[j] = accNew
+	d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
 	return start, nil
 }
 
@@ -505,114 +465,6 @@ func (d *PowerDP) childDims(ch int, accNew int32, accPre []int32, ar *arena[int3
 	d.nodeDims(outDims, outNew, outPre)
 	outShape, err := fillShape(outDims, ar.alloc(d.nf))
 	return outNew, outPre, outShape, err
-}
-
-// merge folds child ch — the st-th child of j — into the accumulated
-// table of node j, updating the accumulated subtree counts in place.
-// The merged table lands in *dst, grown to fit (a retained buffer), or
-// in an arena intermediate when dst is nil.
-func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int32, accPre []int32, dst *[]int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) ([]int32, shape, error) {
-	outNew, outPre, outShape, err := d.childDims(ch, *accNew, accPre, ar)
-	if err != nil {
-		return nil, shape{}, err
-	}
-	var out []int32
-	if dst != nil {
-		*dst = grown(*dst, outShape.size)
-		out = *dst
-	} else {
-		out = ar.alloc(outShape.size)
-	}
-	d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, sc, ms)
-	*accNew = outNew
-	copy(accPre, outPre)
-	return out, outShape, nil
-}
-
-// mergeInto runs the actual table merge of child ch — the st-th child
-// of j — into out (sized outShape.size), refreshing the step's
-// provenance table. The dense kernel pairs every reached accumulated
-// cell with every reached child cell (value <= W_M), reading the child
-// side from a list built once per merge; the first writer of the
-// minimal value wins, which by scan order is the smallest (accumulated
-// cell, child cell) pair — the same order packProv encodes.
-func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape, out []int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) {
-	chShape := d.shapes[ch]
-	chVals := d.vals[ch]
-	chMode0 := int(d.prob.Existing.Mode(ch)) // 0 when ch is not pre-existing
-
-	step := &d.steps[j][st]
-	if d.noPre && int(outShape.dims[d.M-1]) >= minDenseWidth &&
-		d.mergeCompressed(step, acc, accShape, chVals, chShape, outShape, out, sc, ms) {
-		return
-	}
-	step.comp = false
-
-	for i := range out {
-		out[i] = pUnreached
-	}
-	// Stale provenance cells are never read: the reconstruction only
-	// follows cells whose value was written when the table was last
-	// rebuilt, and every value write refreshes its provenance.
-	step.prov = grown(step.prov, outShape.size)
-	prov := step.prov
-	for i := range prov {
-		prov[i] = noProv
-	}
-
-	// Precompute the output-stride bump of placing the child's server
-	// at each mode.
-	placeBump := ar.alloc(d.M + 1)
-	placeBump[0] = 0
-	for m := 1; m <= d.M; m++ {
-		if chMode0 == 0 {
-			placeBump[m] = outShape.strides[d.fieldNew(m)]
-		} else {
-			placeBump[m] = outShape.strides[d.fieldReuse(chMode0, m)]
-		}
-	}
-
-	// List the child's reached cells once, in ascending flat order,
-	// four entries each: flat index, value, output offset and the
-	// smallest mode that carries the value.
-	nr := 0
-	for _, cv := range chVals[:chShape.size] {
-		if cv <= d.wm {
-			nr++
-		}
-	}
-	reached := ar.alloc(4 * nr)
-	var ao, co odometer
-	co.init(chShape.dims, outShape.strides, ar.alloc(len(chShape.dims)))
-	for cFlat, k := 0, 0; cFlat < chShape.size; cFlat++ {
-		if cv := chVals[cFlat]; cv <= d.wm {
-			minMode, _ := d.prob.Power.ModeFor(int(cv))
-			reached[k], reached[k+1], reached[k+2], reached[k+3] = int32(cFlat), cv, co.out, int32(minMode)
-			k += 4
-		}
-		co.next()
-	}
-
-	wm, M := d.wm, int32(d.M)
-	ao.init(accShape.dims, outShape.strides, ar.alloc(len(accShape.dims)))
-	for aFlat := 0; aFlat < accShape.size; aFlat++ {
-		if a := acc[aFlat]; a <= wm {
-			ms.cells += nr
-			for k := 0; k < len(reached); k += 4 {
-				e := reached[k : k+4 : k+4]
-				base := ao.out + e[2]
-				if v := a + e[1]; v <= wm && v < out[base] {
-					out[base], prov[base] = v, packProv(aFlat, int(e[0]), 0)
-				}
-				for m := e[3]; m <= M; m++ {
-					if i := base + placeBump[m]; a < out[i] {
-						out[i], prov[i] = a, packProv(aFlat, int(e[0]), uint8(m))
-					}
-				}
-			}
-		}
-		ao.next()
-	}
 }
 
 // paretoPrune keeps the non-dominated candidates of d.cands in d.front,
@@ -732,19 +584,12 @@ func (s *PowerSolver) reconstruct(f frontEntry, dst *tree.Replicas) PowerResult 
 }
 
 // rebuild unwinds the merge decisions of node j for the given flat
-// cell, in reverse fold order.
+// cell, in reverse fold order, deriving each from the step's run
+// tables (lazyProv).
 func (s *PowerSolver) rebuild(j int, cell int32, placement *tree.Replicas) {
-	steps := s.steps[j]
 	kids := s.prob.Tree.Children(j)
-	for st := len(steps) - 1; st >= 0; st-- {
-		var p uint64
-		if steps[st].comp {
-			// Compressed merges materialise no provenance table; derive
-			// this cell's decision from the step's row snapshots.
-			p = steps[st].lazyProv(cell, s.prob.Power.Caps, s.prob.Power.M())
-		} else {
-			p = steps[st].prov[cell]
-		}
+	for st := len(kids) - 1; st >= 0; st-- {
+		p := s.lazyProv(j, st, cell)
 		if p == noProv {
 			panic(fmt.Sprintf("core: power reconstruction hit an unreached cell at node %d", j))
 		}

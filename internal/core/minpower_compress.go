@@ -1,419 +1,451 @@
 package core
 
-// This file holds the breakpoint-compressed merge kernel of the power
-// dynamic program and the lazy provenance reconstruction it relies on.
+// This file holds the run kernel of the power dynamic program — the
+// only power merge — and the lazy provenance reconstruction it relies
+// on.
 //
-// Without pre-existing servers every reuse dimension of a table
-// collapses to 1, so a node's table is a stack of rows along the n_M
-// axis — the innermost, stride-1 field: row index = flat / rowLen.
-// Along n_M each row obeys the monotone contract of breakrow.go (one
-// more mode-M server, the largest capacity, can always absorb an
-// unserved subtree) but only up to the row's effective length
-// rowLen - Σ(other new counts): past it the subtree's node count
-// admits no placement by pigeonhole, so the tail is identically
-// unreached. The kernel therefore encodes and convolves rows within
-// their effective lengths and re-fills the tails on decode. Both
-// properties are verified at encode time; any violation falls back to
-// the dense kernel, keeping compression exact unconditionally.
+// Layout. A table's dense shape (PowerDP.nodeDims) orders the fields
+// n_1..n_M, then the M² reuse fields e_{i→m}. The run axis is n_M;
+// every other field is a row digit, so a row is the strided line of
+// cells that differ only in n_M, and rows are numbered in flat order
+// with the n_M field dropped (rowStrides). Along n_M every row obeys
+// the monotone contract of breakrow.go, but only up to its effective
+// length dims[n_M] − Σ(n_1..n_{M-1} digits): the new servers of all
+// modes together use the subtree's non-pre nodes, so past it the row
+// is unreached by pigeonhole. Reuse digits use pre-existing nodes only
+// and leave the effective length alone. A row's last run claims its
+// value up to the effective length; decodeTable restores the
+// unreached tail.
 //
-// A merge folds every (acc row, child row) pair into output rows:
+// A merge folds every (acc row, child row) pair into the output row
+// at the sum of their digits:
 //
-//   - the no-place and mode-M place options land in the coordinate-sum
-//     row, and their contribution is exactly bpPlaceMerge — the capped
-//     min-plus convolution plus the equip point one cell right;
-//   - a mode-m place (m < M) lands in the sum row bumped by one in
-//     field m and contributes the acc row shifted to the first child
-//     cell mode m can carry (bpShift) — the staircase the dense
-//     kernel's placeBump writes draw.
+//   - a new child adds bpPlaceMerge — the capped min-plus convolution
+//     plus equipping the child at mode M one cell right — and, for
+//     each mode m < M, the acc row shifted to the first child cell
+//     mode m can carry (bpShift), in the sum row bumped in n_m;
+//   - a pre-existing child with initial mode i adds bpConv for the
+//     no-place option and, for each mode m, the acc row shifted to the
+//     first child cell mode m can carry, in the sum row bumped in
+//     e_{i→m}.
 //
-// Output rows accumulate the pair contributions with envMin. The
-// result is cell-identical to the dense kernel; provenance is not
-// materialised — reconstruction re-derives a cell's decision lazily
-// from the step's retained row snapshots, scanning candidates in the
-// dense kernel's (acc cell, child cell, mode) order.
+// Output rows accumulate the pair contributions with envMin. The result
+// is cell-identical to the dense merge, which minpower_oracle_test.go
+// keeps as a test-only reference. Provenance is not materialised:
+// lazyProv re-derives a cell's decision from the step's input, the
+// child's final table and the step's output, in the dense scan's
+// (acc cell, child cell) order.
 
-// maxPowerDigits bounds the mode count the compressed power kernel
-// handles with stack-allocated digit vectors; larger instances (far
-// beyond the paper's experiments, and intractable for the dense DP
-// anyway) fall back to the dense kernel.
-const maxPowerDigits = 16
-
-// bumpDigits advances a row-major digit vector with the given radix,
-// maintaining the digit sum. Returns false when the vector wraps.
-func bumpDigits(dig []int32, radix int32, sum *int32) bool {
-	for f := len(dig) - 1; f >= 0; f-- {
-		dig[f]++
-		*sum++
-		if dig[f] < radix {
-			return true
+// rowStrides fills w with the row-index weight of every field of a
+// table of shape sh — moving field f by one moves the row index by
+// w[f] — and returns it. The run axis nM weighs 0.
+func rowStrides(sh shape, nM int, w []int32) []int32 {
+	for f, s := range sh.strides {
+		switch {
+		case f < nM:
+			w[f] = s / sh.dims[nM]
+		case f == nM:
+			w[f] = 0
+		default:
+			w[f] = s
 		}
-		*sum -= dig[f]
-		dig[f] = 0
 	}
-	return false
+	return w
 }
 
-// encodeTableRows encodes every n_M row of a no-pre power table,
-// clipped to its effective length, appending the runs to *runs with
-// per-row offsets in *off. Returns false when any row violates the
-// monotone contract or holds a reached value past its effective
-// length — the caller must then run the dense kernel.
-func encodeTableRows(tab []int32, rows int, rowLen int32, M int, off *[]int32, runs *[]bpRun, tmp *[]bpRun) bool {
-	*off = grown(*off, rows+1)
-	(*off)[0] = 0
-	*runs = (*runs)[:0]
-	var dig [maxPowerDigits]int32
-	dg := dig[:M-1]
-	sum := int32(0)
-	for r := 0; r < rows; r++ {
-		base := r * int(rowLen)
-		eff := max(rowLen-sum, 0)
-		enc, ok := encodeRuns32(tab[base:base+int(eff)], pUnreached, *tmp)
-		*runs = append(*runs, enc...)
-		*tmp = enc[:0]
-		if !ok {
-			return false
+// rowOdometer readies o to walk the rows of a table of shape sh in
+// row order (field nM held at 0), accumulating the weights w.
+func rowOdometer(o *odometer, sh shape, nM int, w []int32, ar *arena[int32]) {
+	dims := ar.alloc(len(sh.dims))
+	copy(dims, sh.dims)
+	dims[nM] = 1
+	o.init(dims, w, ar.alloc(len(dims)))
+}
+
+// newDigits returns the sum of the n_1..n_{M-1} digits of a row.
+func newDigits(coords []int32, nM int) int32 {
+	s := int32(0)
+	for _, c := range coords[:nM] {
+		s += c
+	}
+	return s
+}
+
+// listRows lists the non-empty rows of tab (shape sh) in ar, three
+// entries each: the row index, the row's index in the output row space
+// of weights ow, and its n_1..n_{M-1} digit sum. The list is carved
+// for every row, so the arena need is a function of shapes alone.
+func listRows(tab bpTable, sh shape, nM int, ow []int32, ar *arena[int32]) []int32 {
+	var o odometer
+	rowOdometer(&o, sh, nM, ow, ar)
+	rows := int32(sh.size) / sh.dims[nM]
+	list := ar.alloc(3 * int(rows))[:0]
+	for r := int32(0); r < rows; r++ {
+		if len(tab.row(r)) > 0 {
+			list = append(list, r, o.out, newDigits(o.coords, nM))
 		}
-		(*off)[r+1] = int32(len(*runs))
-		for i := base + int(eff); i < base+int(rowLen); i++ {
-			if tab[i] != pUnreached {
-				return false
+		o.next()
+	}
+	return list
+}
+
+// decodeTable expands the run table tab of shape sh into the dense
+// dst, filling every cell outside the rows' runs with pUnreached.
+func decodeTable(tab bpTable, sh shape, nM int, dst []int32, ar *arena[int32]) {
+	for i := range dst[:sh.size] {
+		dst[i] = pUnreached
+	}
+	L, S := sh.dims[nM], sh.strides[nM]
+	var o odometer
+	rowOdometer(&o, sh, nM, sh.strides, ar)
+	for r := int32(0); r < int32(sh.size)/L; r++ {
+		runs := tab.row(r)
+		eff := L - newDigits(o.coords, nM)
+		for p := range runs {
+			end := eff
+			if p+1 < len(runs) {
+				end = runs[p+1].start
+			}
+			for k := runs[p].start; k < end; k++ {
+				dst[o.out+k*S] = int32(runs[p].val)
 			}
 		}
-		bumpDigits(dg, rowLen, &sum)
+		o.next()
 	}
-	return true
 }
 
-// mergeCompressed is the breakpoint-compressed counterpart of
-// mergeInto's dense kernel for merges without pre-existing servers. It reads the dense acc and child tables, computes in
-// runs-space and decodes the dense output, so everything around the
-// merge (retained tables, the root fold, the root scan) is untouched.
-// Returns false — with out unwritten — when a row fails the monotone
-// verification, in which case the caller runs the dense kernel.
-func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVals []int32, chShape, outShape shape, out []int32, sc *bpScratch, ms *mergeStats) bool {
-	M := d.M
-	if M-1 > maxPowerDigits {
-		return false
+// merge runs fold step st of node j: it folds the final table of child
+// ch into the accumulated table on runs, keeps the output in the step
+// and updates the accumulated subtree counts in place.
+func (d *PowerDP) merge(j, st, ch int, accNew *int32, accPre []int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) error {
+	outNew, outPre, outSh, err := d.childDims(ch, *accNew, accPre, ar)
+	if err != nil {
+		return err
 	}
-	accLen, chLen, outLen := accShape.dims[M-1], chShape.dims[M-1], outShape.dims[M-1]
-	accRows := accShape.size / int(accLen)
-	chRows := chShape.size / int(chLen)
-	outRows := outShape.size / int(outLen)
+	M, nM := d.M, d.M-1
+	acc, accSh := d.stepIn(j, st)
+	c, chSh := d.final(ch)
+	outLen := outSh.dims[nM]
+	outRows := int32(outSh.size) / outLen
+	ow := rowStrides(outSh, nM, ar.alloc(d.nf))
+	aList := listRows(acc, accSh, nM, ow, ar)
+	cList := listRows(c, chSh, nM, ow, ar)
 
-	if !encodeTableRows(acc, accRows, accLen, M, &sc.accOff, &sc.accRuns, &sc.tmp) {
-		return false
-	}
-	if !encodeTableRows(chVals, chRows, chLen, M, &sc.cols, &sc.colRuns, &sc.tmp) {
-		return false
-	}
-	ms.rows += accRows + chRows
-
-	// Per (child row, mode m < M): the first child cell mode m can
-	// carry — a suffix of the row's feasible cells, since values only
-	// shrink rightward. -1 when even the smallest value exceeds the cap.
+	// Per non-empty child row and mode m: the first cell mode m can
+	// carry — a suffix of the row's cells, since values only fall
+	// rightward — or -1 when even the row's smallest value exceeds the
+	// capacity.
 	caps := d.prob.Power.Caps
-	sc.modeStarts = grown(sc.modeStarts, chRows*(M-1))
-	for r := 0; r < chRows; r++ {
-		cRuns := sc.colRuns[sc.cols[r]:sc.cols[r+1]]
-		for m := 1; m < M; m++ {
+	starts := ar.alloc(chSh.size / int(chSh.dims[nM]) * M)
+	for i := 0; i < len(cList); i += 3 {
+		runs := c.row(cList[i])
+		for m := 1; m <= M; m++ {
 			s := int32(-1)
-			for _, run := range cRuns {
+			for _, run := range runs {
 				if run.val <= int64(caps[m-1]) {
 					s = run.start
 					break
 				}
 			}
-			sc.modeStarts[r*(M-1)+(m-1)] = s
+			starts[i/3*M+m-1] = s
+		}
+	}
+	// The output row bump of equipping the child at mode m.
+	chMode0 := int(d.prob.Existing.Mode(ch))
+	bump := ar.alloc(M + 1)
+	for m := 1; m <= M; m++ {
+		if chMode0 == 0 {
+			bump[m] = ow[d.fieldNew(m)]
+		} else {
+			bump[m] = ow[d.fieldReuse(chMode0, m)]
 		}
 	}
 
-	sc.rows = grownKeep(sc.rows, outRows)
-	rows := sc.rows[:outRows]
-	for r := range rows {
-		rows[r] = rows[r][:0]
+	// Output row r accumulates in sc.rows[slot[r]], a buffer taken on
+	// the row's first contribution (slot -1 until then), so the
+	// per-row cost of a sparse table is one slot. envMin goes through
+	// tmp and is copied back, keeping each buffer with its row.
+	slot := ar.alloc(int(outRows))
+	for r := range slot {
+		slot[r] = -1
 	}
-
-	// Row-space weights: the output row index moves by outW[f] when
-	// field f's coordinate moves by one. Digit sums never carry — the
-	// per-field out dimension exceeds the acc and child dimensions
-	// combined — so row indices add componentwise.
-	var outW [maxPowerDigits]int32
-	w := int32(1)
-	for f := M - 2; f >= 0; f-- {
-		outW[f] = w
-		w *= outLen
+	used := int32(0)
+	add := func(r int32, src []bpRun) {
+		switch {
+		case len(src) == 0:
+		case slot[r] < 0:
+			if int(used) == len(sc.rows) {
+				sc.rows = append(sc.rows, nil)
+			}
+			slot[r] = used
+			sc.rows[used] = append(sc.rows[used][:0], src...)
+			used++
+		default:
+			sc.tmp = envMin(sc.rows[slot[r]], src, sc.tmp)
+			sc.rows[slot[r]] = append(sc.rows[slot[r]][:0], sc.tmp...)
+		}
 	}
-
-	outN := outLen - 1
-	wmSum := int64(d.wm)
-	var aDig, cDig [maxPowerDigits]int32
-	ad := aDig[:M-1]
-	sumA := int32(0)
-	for ar := 0; ar < accRows; ar++ {
-		aRuns := sc.accRuns[sc.accOff[ar]:sc.accOff[ar+1]]
-		if len(aRuns) != 0 {
-			baseA := int32(0)
-			for f := 0; f < M-1; f++ {
-				baseA += ad[f] * outW[f]
-			}
-			cd := cDig[:M-1]
-			for f := range cd {
-				cd[f] = 0
-			}
-			sumC := int32(0)
-			for cr := 0; cr < chRows; cr++ {
-				cRuns := sc.colRuns[sc.cols[cr]:sc.cols[cr+1]]
-				if len(cRuns) != 0 {
-					baseC := int32(0)
-					for f := 0; f < M-1; f++ {
-						baseC += cd[f] * outW[f]
-					}
-					row0 := baseA + baseC
-					s0 := sumA + sumC
-					ms.cells += len(aRuns) + len(cRuns)
-					res := bpPlaceMerge(aRuns, cRuns, wmSum, outN-s0, sc)
-					rows[row0], sc.tmp = envMinInto(rows[row0], res, sc.tmp)
-					if lim := outN - s0 - 1; lim >= 0 {
-						for m := 1; m < M; m++ {
-							sm := sc.modeStarts[cr*(M-1)+(m-1)]
-							if sm < 0 {
-								continue
-							}
-							sh := bpShift(aRuns, sm, lim, sc.ch)
-							r := row0 + outW[m-1]
-							rows[r], sc.tmp = envMinInto(rows[r], sh, sc.tmp)
-							sc.ch = sh[:0]
-						}
+	shift := func(r int32, a []bpRun, delta, lim int32) {
+		sh := bpShift(a, delta, lim, sc.ch)
+		add(r, sh)
+		sc.ch = sh[:0]
+	}
+	wm := int64(d.wm)
+	for ai := 0; ai < len(aList); ai += 3 {
+		a := acc.row(aList[ai])
+		for ci := 0; ci < len(cList); ci += 3 {
+			b := c.row(cList[ci])
+			ms.cells += len(a) + len(b)
+			ms.rows += 2
+			row0 := aList[ai+1] + cList[ci+1]
+			// The last cell of row0 within its effective length.
+			lim := outLen - 1 - aList[ai+2] - cList[ci+2]
+			sm := starts[ci/3*M:][:M]
+			if chMode0 == 0 {
+				add(row0, bpPlaceMerge(a, b, wm, lim, sc))
+				// A mode-m server (m < M) is one more n_m digit, which
+				// shortens the bumped row by one cell.
+				for m := 1; m < M && lim > 0; m++ {
+					if sm[m-1] >= 0 {
+						shift(row0+bump[m], a, sm[m-1], lim-1)
 					}
 				}
-				bumpDigits(cd, chLen, &sumC)
+				continue
+			}
+			add(row0, bpConv(a, b, wm, lim, sc))
+			for m := 1; m <= M; m++ {
+				if sm[m-1] >= 0 {
+					shift(row0+bump[m], a, sm[m-1], lim)
+				}
 			}
 		}
-		bumpDigits(ad, accLen, &sumA)
 	}
 
-	// Decode the accumulated rows into the dense output and snapshot
-	// the step's inputs and outputs for lazy provenance and suffix
-	// replays.
-	step.comp = true
-	step.accLen, step.chLen, step.outLen = accLen, chLen, outLen
-	step.inOff = append(step.inOff[:0], sc.accOff[:accRows+1]...)
-	step.inRuns = append(step.inRuns[:0], sc.accRuns...)
-	step.chOff = append(step.chOff[:0], sc.cols[:chRows+1]...)
-	step.chRuns = append(step.chRuns[:0], sc.colRuns...)
-	step.outOff = grown(step.outOff, outRows+1)
-	step.outOff[0] = 0
-	step.outRuns = step.outRuns[:0]
-	od := aDig[:M-1]
-	for f := range od {
-		od[f] = 0
-	}
-	sumO := int32(0)
-	for r := 0; r < outRows; r++ {
-		eff := max(outLen-sumO, 0)
-		base := r * int(outLen)
-		decodeRuns32(rows[r], out[base:base+int(eff)], pUnreached)
-		for i := base + int(eff); i < base+int(outLen); i++ {
-			out[i] = pUnreached
+	// No merge input aliases the step's own buffer, so the table is
+	// written there directly.
+	step := &d.steps[j][st]
+	runs := beginTable(step.tab.runs, outRows-1)
+	for r, s := range slot {
+		if s >= 0 {
+			runs = append(runs, sc.rows[s]...)
 		}
-		step.outRuns = append(step.outRuns, rows[r]...)
-		step.outOff[r+1] = int32(len(step.outRuns))
-		bumpDigits(od, outLen, &sumO)
+		endRow(runs, outRows-1, int32(r))
 	}
-	return true
+	step.tab = bpTable{dimE: outRows - 1, dimN: outLen - 1, runs: runs}
+	step.sh.assign(outSh)
+	*accNew = outNew
+	copy(accPre, outPre)
+	return nil
 }
 
-// envMinInto folds src into the accumulated row acc, using spare as
-// the envMin destination, and returns the new row plus the displaced
-// buffer (so the two storages ping-pong without allocating).
-func envMinInto(acc, src, spare []bpRun) (row, next []bpRun) {
-	if len(acc) == 0 {
-		return append(acc, src...), spare
-	}
-	return envMin(acc, src, spare[:0]), acc
+// provLine is one row of a table as lazyProv reads it: its runs, the
+// flat index of its cell 0, the flat stride along n_M and its
+// effective length.
+type provLine struct {
+	runs            []bpRun
+	base, step, eff int32
 }
 
-// decodeStep expands the output snapshot of a compressed merge step
-// back into a dense table — the accumulated input of the step after
-// it, used by the suffix replays of solveNode — restoring the
-// unreached tails past each row's effective length.
-func decodeStep(step *pStep, dst []int32, M int) {
-	outLen := step.outLen
-	rows := len(step.outOff) - 1
-	var dig [maxPowerDigits]int32
-	dg := dig[:M-1]
-	sum := int32(0)
-	for r := 0; r < rows; r++ {
-		eff := max(outLen-sum, 0)
-		base := r * int(outLen)
-		decodeRuns32(step.outRuns[step.outOff[r]:step.outOff[r+1]], dst[base:base+int(eff)], pUnreached)
-		for i := base + int(eff); i < base+int(outLen); i++ {
-			dst[i] = pUnreached
+// pick returns the packed provenance of the first acc cell i in
+// [aS, aE) of line a whose partner cell k-delta-i of child line c lies
+// in [cl, cr], or noProv when there is none.
+func pick(a, c provLine, aS, aE, k, delta, cl, cr int32, mode uint8) uint64 {
+	i := max(aS, k-delta-cr)
+	if i >= aE || i > k-delta-cl {
+		return noProv
+	}
+	return packProv(int(a.base+i*a.step), int(c.base+(k-delta-i)*c.step), mode)
+}
+
+// provChild locates the child rows that one acc row's cells pair with
+// in a given output row: the child digits are the output digits minus
+// the acc digits (cd), less one in the field a mode bump takes.
+type provChild struct {
+	tab            bpTable
+	sh             shape
+	nM             int
+	cw, cd         []int32 // child row strides and unbumped digits
+	row, base, sum int32   // row index, flat cell 0 and new-digit sum of cd
+	bad            int     // the one digit of cd out of range; -1: none, -2: several
+	mode0          int     // the child's initial mode, 0 when it is new
+}
+
+// locate sets the unbumped child digits to oDig-aDig.
+func (pc *provChild) locate(oDig, aDig []int32) {
+	pc.row, pc.base, pc.sum, pc.bad = 0, 0, 0, -1
+	for f := range pc.cd {
+		pc.cd[f] = oDig[f] - aDig[f]
+		if f == pc.nM {
+			continue
 		}
-		bumpDigits(dg, outLen, &sum)
+		pc.row += pc.cd[f] * pc.cw[f]
+		pc.base += pc.cd[f] * pc.sh.strides[f]
+		if f < pc.nM {
+			pc.sum += pc.cd[f]
+		}
+		if pc.cd[f] >= pc.sh.dims[f] {
+			if pc.bad == -1 {
+				pc.bad = f
+			} else {
+				pc.bad = -2
+			}
+		}
 	}
 }
 
-// lazyProv re-derives the provenance of one output cell of a
-// compressed merge step: the first (acc cell, child cell, mode) triple
-// in the dense kernel's scan order — exactly the packProv order — that
+// line returns the child row with field b bumped down by one (b < 0:
+// none), or false when that row lies outside the child table.
+func (pc *provChild) line(b int) (provLine, bool) {
+	l := provLine{base: pc.base, step: pc.sh.strides[pc.nM], eff: pc.sh.dims[pc.nM] - pc.sum}
+	row := pc.row
+	if b < 0 {
+		if pc.bad != -1 {
+			return l, false
+		}
+	} else {
+		if cd := pc.cd[b]; !(pc.bad == -1 && cd >= 1 || pc.bad == b && cd == pc.sh.dims[b]) {
+			return l, false
+		}
+		row -= pc.cw[b]
+		l.base -= pc.sh.strides[b]
+		if b < pc.nM {
+			l.eff++
+		}
+	}
+	l.runs = pc.tab.row(row)
+	return l, true
+}
+
+// lazyProv re-derives the provenance of one output cell of fold step
+// st of node j: the first (acc cell, child cell, mode) triple in the
+// dense merge's scan order — exactly the packProv order — that
 // achieves the cell's value. Returns noProv when the cell is
 // unreached.
-func (st *pStep) lazyProv(cell int32, caps []int, M int) uint64 {
-	accLen, chLen, outLen := st.accLen, st.chLen, st.outLen
-	outRow := cell / outLen
-	k := cell % outLen
-	vstar := bpAt(st.outRuns[st.outOff[outRow]:st.outOff[outRow+1]], k)
+//
+// The candidate acc rows form a box of row digits, walked in row
+// order. Cells of rows that differ only in reuse digits interleave in
+// flat order, so the minimal triple is taken over every row of one
+// n_1..n_{M-1} slab; the first slab holding a candidate wins, since
+// its cells all precede the next slab's.
+func (s *PowerSolver) lazyProv(j, st int, cell int32) uint64 {
+	out := &s.steps[j][st]
+	acc, accSh := s.stepIn(j, st)
+	ch := s.prob.Tree.Children(j)[st]
+	pc := provChild{nM: s.prob.Power.M() - 1, mode0: int(s.prob.Existing.Mode(ch))}
+	pc.tab, pc.sh = s.final(ch)
+	nf, nM := len(out.sh.dims), pc.nM
+	var buf [96]int32 // the digit vectors of up to three modes
+	dig := buf[:]
+	if 8*nf > len(dig) {
+		dig = make([]int32, 8*nf)
+	}
+	oDig, aDig, lo, hi := dig[:nf], dig[nf:2*nf], dig[2*nf:3*nf], dig[3*nf:4*nf]
+	pc.cd = dig[4*nf : 5*nf]
+	ow := rowStrides(out.sh, nM, dig[5*nf:6*nf])
+	aw := rowStrides(accSh, nM, dig[6*nf:7*nf])
+	pc.cw = rowStrides(pc.sh, nM, dig[7*nf:8*nf])
+
+	rem, outRow := cell, int32(0)
+	for f := range oDig {
+		oDig[f] = rem / out.sh.strides[f]
+		rem %= out.sh.strides[f]
+		outRow += oDig[f] * ow[f]
+	}
+	k := oDig[nM]
+	vstar := bpAt(out.tab.row(outRow), k)
 	if vstar >= bpInfVal {
 		return noProv
 	}
-
-	// Child row-space weights.
-	var chW [maxPowerDigits]int32
-	w := int32(1)
-	for f := M - 2; f >= 0; f-- {
-		chW[f] = w
-		w *= chLen
+	// The acc row digits a candidate can use: the child digits
+	// oDig-aDig must fit the child table, give or take the one digit a
+	// mode bump takes.
+	for f := range lo {
+		lo[f], hi[f] = max(0, oDig[f]-pc.sh.dims[f]), min(oDig[f], accSh.dims[f]-1)
+		if f == nM {
+			lo[f], hi[f] = 0, 0
+		}
+		if lo[f] > hi[f] {
+			return noProv
+		}
 	}
+	copy(aDig, lo)
 
-	// Decompose the output row and walk the acc rows inside the
-	// componentwise box [0, min(outDig, accLen-1)] in ascending flat
-	// order — ascending acc cell, the leading key of packProv.
-	var outDig, aDig, limDig, cDig [maxPowerDigits]int32
-	rem := outRow
-	for f := M - 2; f >= 0; f-- {
-		outDig[f] = rem % outLen
-		rem /= outLen
-	}
-	for f := 0; f < M-1; f++ {
-		limDig[f] = min(outDig[f], accLen-1)
-	}
-
+	best := noProv
 	for {
-		arIdx, sumA := int32(0), int32(0)
-		for f := 0; f < M-1; f++ {
-			arIdx = arIdx*accLen + aDig[f]
-			sumA += aDig[f]
-		}
-		aRuns := st.inRuns[st.inOff[arIdx]:st.inOff[arIdx+1]]
-		if len(aRuns) != 0 {
-			// Child digits for the no-place and mode-M options; a mode-m
-			// place reduces digit m-1 by one, which may repair a single
-			// out-of-range digit.
-			raw, sumC, bad := int32(0), int32(0), int32(-1)
-			for f := 0; f < M-1; f++ {
-				c := outDig[f] - aDig[f]
-				cDig[f] = c
-				raw += c * chW[f]
-				sumC += c
-				if c >= chLen {
-					if bad == -1 {
-						bad = int32(f)
-					} else {
-						bad = -2
-					}
-				}
+		pc.locate(oDig, aDig)
+		if pc.bad != -2 {
+			a := provLine{step: accSh.strides[nM], eff: accSh.dims[nM] - newDigits(aDig, nM)}
+			aRow := int32(0)
+			for f := range aDig {
+				aRow += aDig[f] * aw[f]
+				a.base += aDig[f] * accSh.strides[f]
 			}
-			if p := st.lazyProvRow(aRuns, arIdx, sumA, k, vstar, raw, sumC, bad, cDig[:M-1], chW[:M-1], caps, M); p != noProv {
-				return p
-			}
+			a.runs = acc.row(aRow)
+			best = min(best, s.provRow(a, &pc, vstar, k))
 		}
-		f := M - 2
+		f := nf - 1
 		for ; f >= 0; f-- {
-			if aDig[f] < limDig[f] {
+			if aDig[f] < hi[f] {
 				aDig[f]++
 				break
 			}
-			aDig[f] = 0
+			aDig[f] = lo[f]
 		}
-		if f < 0 {
-			return noProv
+		if f < 0 || f < nM && best != noProv {
+			return best
 		}
 	}
 }
 
-// lazyProvRow scans one acc row's runs, in ascending cell order, for
-// the first run holding a provenance candidate of the target cell, and
-// returns the minimal candidate of that run (later runs only produce
-// larger packed triples).
-func (st *pStep) lazyProvRow(aRuns []bpRun, arIdx, sumA, k int32, vstar int64, raw, sumC, bad int32, cDig []int32, chW []int32, caps []int, M int) uint64 {
-	accLen, chLen := st.accLen, st.chLen
-	accEff := accLen - sumA
-	aFlatBase := int(arIdx) * int(accLen)
-	for p := range aRuns {
-		aS := aRuns[p].start
-		aE := accEff
-		if p+1 < len(aRuns) {
-			aE = aRuns[p+1].start
+// provRow returns the minimal provenance candidate of the target cell
+// (k, value vstar) among the cells of acc line a, or noProv. The first
+// acc run holding a candidate holds the row's minimal one: later runs
+// only produce larger acc cells.
+func (s *PowerSolver) provRow(a provLine, pc *provChild, vstar int64, k int32) uint64 {
+	caps := s.prob.Power.Caps
+	M := len(caps)
+	for p := range a.runs {
+		aS, aE, v := a.runs[p].start, a.eff, a.runs[p].val
+		if p+1 < len(a.runs) {
+			aE = a.runs[p+1].start
 		}
-		a := aRuns[p].val
 		best := noProv
-
-		// No-place: a child cell with value exactly vstar - a at c = k-i.
-		if bad == -1 && a <= vstar {
-			cRuns := st.chRuns[st.chOff[raw]:st.chOff[raw+1]]
-			chEff := chLen - sumC
-			target := vstar - a
-			for q := range cRuns {
-				if cRuns[q].val > target {
+		// No place: a child cell of value exactly vstar - v at k-i.
+		if l, ok := pc.line(-1); ok && v <= vstar {
+			for q, run := range l.runs {
+				if run.val > vstar-v {
 					continue
 				}
-				if cRuns[q].val == target {
-					cl := cRuns[q].start
-					cr := chEff - 1
-					if q+1 < len(cRuns) {
-						cr = cRuns[q+1].start - 1
+				if run.val == vstar-v {
+					cr := l.eff - 1
+					if q+1 < len(l.runs) {
+						cr = l.runs[q+1].start - 1
 					}
-					iMin := max(aS, k-cr)
-					if iMin < aE && iMin <= k-cl {
-						best = min(best, packProv(aFlatBase+int(iMin), int(raw)*int(chLen)+int(k-iMin), 0))
-					}
+					best = pick(a, l, aS, aE, k, 0, run.start, cr, 0)
 				}
 				break
 			}
 		}
-
-		if a == vstar {
-			// Mode-M place: any feasible child cell at c = k-1-i.
-			if bad == -1 {
-				cRuns := st.chRuns[st.chOff[raw]:st.chOff[raw+1]]
-				if len(cRuns) != 0 {
-					chEff := chLen - sumC
-					cFirst, cLast := cRuns[0].start, chEff-1
-					iMin := max(aS, k-1-cLast)
-					if iMin < aE && iMin <= k-1-cFirst {
-						best = min(best, packProv(aFlatBase+int(iMin), int(raw)*int(chLen)+int(k-1-iMin), uint8(M)))
-					}
-				}
+		// Equip the child at mode m: any child cell mode m can carry.
+		for m := 1; v == vstar && m <= M; m++ {
+			b, delta := m-1, int32(0)
+			switch {
+			case pc.mode0 != 0:
+				b = M + (pc.mode0-1)*M + (m - 1) // e_{mode0→m}
+			case m == M:
+				b, delta = -1, 1 // a new child at mode M moves n_M one cell right
 			}
-			// Mode-m place (m < M): child cells mode m can carry, at
-			// c = k-i, in the row with digit m-1 reduced by one.
-			for m := 1; m < M; m++ {
-				ok := cDig[m-1] >= 1 && (bad == -1 || (bad == int32(m-1) && cDig[m-1] == chLen))
-				if !ok {
-					continue
-				}
-				crIdx := raw - chW[m-1]
-				cRuns := st.chRuns[st.chOff[crIdx]:st.chOff[crIdx+1]]
-				sm := int32(-1)
-				for _, run := range cRuns {
-					if run.val <= int64(caps[m-1]) {
-						sm = run.start
-						break
-					}
-				}
-				if sm < 0 {
-					continue
-				}
-				chEff := chLen - (sumC - 1)
-				iMin := max(aS, k-(chEff-1))
-				if iMin < aE && iMin <= k-sm {
-					best = min(best, packProv(aFlatBase+int(iMin), int(crIdx)*int(chLen)+int(k-iMin), uint8(m)))
+			l, ok := pc.line(b)
+			if !ok {
+				continue
+			}
+			for _, run := range l.runs {
+				if run.val <= int64(caps[m-1]) {
+					best = min(best, pick(a, l, aS, aE, k, delta, run.start, l.eff-1, uint8(m)))
+					break
 				}
 			}
 		}
-
 		if best != noProv {
 			return best
 		}

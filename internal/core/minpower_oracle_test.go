@@ -10,13 +10,13 @@ import (
 	"replicatree/internal/tree"
 )
 
-// denseMergeOracle is the straightforward dense power merge: for every
-// reached accumulated cell it steps a child odometer across every cell
-// of the child table and skips the unreached ones. It fills out and prov
-// in full and returns the number of (accumulated, child) pairs of
-// reached cells it evaluated.
-func denseMergeOracle(d *PowerDP, ch int, acc []int32, accShape, outShape shape, out []int32, prov []uint64) int {
-	chShape, chVals := d.shapes[ch], d.vals[ch]
+// denseMergeOracle is the straightforward dense power merge, the
+// reference of the run kernel: for every reached accumulated cell it
+// steps a child odometer across every cell of the child table and
+// skips the unreached ones. The first writer of a cell's minimal value
+// wins, which by scan order is the smallest (accumulated cell, child
+// cell) pair — the packProv order. It fills out and prov in full.
+func denseMergeOracle(d *PowerDP, ch int, acc []int32, accShape shape, chVals []int32, chShape, outShape shape, out []int32, prov []uint64) {
 	chMode0 := int(d.prob.Existing.Mode(ch))
 	for i := range out {
 		out[i], prov[i] = pUnreached, noProv
@@ -35,7 +35,6 @@ func denseMergeOracle(d *PowerDP, ch int, acc []int32, accShape, outShape shape,
 			prov[idx] = p
 		}
 	}
-	pairs := 0
 	ao := newOdometer(accShape.dims, outShape.strides)
 	co := newOdometer(chShape.dims, outShape.strides)
 	for aFlat := 0; aFlat < accShape.size; aFlat++ {
@@ -43,7 +42,6 @@ func denseMergeOracle(d *PowerDP, ch int, acc []int32, accShape, outShape shape,
 			co.reset()
 			for cFlat := 0; cFlat < chShape.size; cFlat++ {
 				if cv := chVals[cFlat]; cv <= d.wm {
-					pairs++
 					base := ao.out + co.out
 					if a+cv <= d.wm {
 						update(base, a+cv, packProv(aFlat, cFlat, 0))
@@ -59,88 +57,66 @@ func denseMergeOracle(d *PowerDP, ch int, acc []int32, accShape, outShape shape,
 		}
 		ao.next()
 	}
-	return pairs
 }
 
-// oracleTally counts what checkDenseMerges compared.
+// denseTable decodes a run table of d into a fresh dense table.
+func denseTable(d *PowerDP, tab bpTable, sh shape) []int32 {
+	var ar arena[int32]
+	out := make([]int32, sh.size)
+	decodeTable(tab, sh, d.M-1, out, &ar)
+	return out
+}
+
+// oracleTally counts what checkRunMerges compared.
 type oracleTally struct {
-	steps     int // dense merge steps compared cell for cell
+	steps     int // merge steps compared cell for cell
 	leafKids  int // of which merged a leaf child
-	modeMOnly int // of which had reached child cells only mode M carries
+	modeMOnly int // of which had reached child cells only mode M can carry
+	preModes  int // bit m: some decision equips a pre-existing child at mode m
 }
 
-// checkDenseMerges re-folds every internal node of d's last solve in
-// child order, running each merge step through mergeInto and
-// through denseMergeOracle on identical inputs. It compares the merged
-// values cell for cell on every step, provenance and the work count on
-// every dense step, and the re-folded final table with the solve's.
-func checkDenseMerges(t *testing.T, d *PowerDP, label string, tally *oracleTally) {
+// checkRunMerges runs every fold step of d's last solve through
+// denseMergeOracle on the dense decoding of the step's run inputs, and
+// compares, cell for cell, the step's run output decoded dense with the
+// oracle's values and lazyProv of every reached cell with the oracle's
+// provenance (off-front cells included, which no front or placement
+// digest pins). Since every step's input is the previous step's
+// checked output, the whole fold matches the dense fold.
+func checkRunMerges(t *testing.T, d *PowerDP, label string, tally *oracleTally) {
 	t.Helper()
 	tr := d.t
-	var ar arena[int32]
-	var sc bpScratch
+	sol := PowerSolver{prob: d.prob, powerTables: d.powerTables}
 	for j := 0; j < tr.N(); j++ {
-		kids := tr.Children(j)
-		if len(kids) == 0 {
-			continue
-		}
-		accPre := make([]int32, d.M)
-		accNew := int32(0)
-		dims := make([]int32, d.nf)
-		d.nodeDims(dims, accNew, accPre)
-		accShape, err := newShape(dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := []int32{int32(tr.ClientSum(j))}
-		for st, ch := range kids {
-			outNew, outPre, outShape, err := d.childDims(ch, accNew, accPre, &ar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]int32, outShape.size)
-			wantProv := make([]uint64, outShape.size)
-			pairs := denseMergeOracle(d, ch, acc, accShape, outShape, want, wantProv)
-			got := make([]int32, outShape.size)
-			var ms mergeStats
-			d.mergeInto(j, st, ch, acc, accShape, outShape, got, &ar, &sc, &ms)
-			step := &d.steps[j][st]
+		for st, ch := range tr.Children(j) {
+			acc, accSh := d.stepIn(j, st)
+			c, chSh := d.final(ch)
+			chVals := denseTable(d, c, chSh)
+			out := &d.steps[j][st]
+			want := make([]int32, out.sh.size)
+			wantProv := make([]uint64, out.sh.size)
+			denseMergeOracle(d, ch, denseTable(d, acc, accSh), accSh, chVals, chSh, out.sh, want, wantProv)
+			got := denseTable(d, out.tab, out.sh)
 			where := fmt.Sprintf("%s: node %d step %d (child %d)", label, j, st, ch)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: out[%d] = %d, oracle %d", where, i, got[i], want[i])
 				}
-				if !step.comp && step.prov[i] != wantProv[i] {
-					t.Fatalf("%s: prov[%d] = %#x, oracle %#x", where, i, step.prov[i], wantProv[i])
+				if p := sol.lazyProv(j, st, int32(i)); p != wantProv[i] {
+					t.Fatalf("%s: lazyProv(%d) = %#x, oracle %#x", where, i, p, wantProv[i])
+				}
+				if _, _, m := unpackProv(wantProv[i]); wantProv[i] != noProv && m != 0 && d.prob.Existing.Has(ch) {
+					tally.preModes |= 1 << m
 				}
 			}
-			if !step.comp {
-				if ms.cells != pairs {
-					t.Fatalf("%s: counted %d merge cells, oracle evaluated %d pairs", where, ms.cells, pairs)
-				}
-				tally.steps++
-				if len(tr.Children(ch)) == 0 {
-					tally.leafKids++
-				}
-				if d.M > 1 {
-					for _, cv := range d.vals[ch][:d.shapes[ch].size] {
-						if int(cv) > d.prob.Power.Cap(d.M-1) && cv <= d.wm {
-							tally.modeMOnly++
-							break
-						}
-					}
-				}
+			tally.steps++
+			if len(tr.Children(ch)) == 0 {
+				tally.leafKids++
 			}
-			acc, accShape, accNew = got, outShape, outNew
-			copy(accPre, outPre)
-		}
-		final := d.vals[j][:d.shapes[j].size]
-		if len(acc) != len(final) {
-			t.Fatalf("%s: node %d re-folded to %d cells, solve kept %d", label, j, len(acc), len(final))
-		}
-		for i := range final {
-			if acc[i] != final[i] {
-				t.Fatalf("%s: node %d re-folded cell %d = %d, solve kept %d", label, j, i, acc[i], final[i])
+			for _, cv := range chVals {
+				if d.M > 1 && int(cv) > d.prob.Power.Cap(d.M-1) && cv <= d.wm {
+					tally.modeMOnly++
+					break
+				}
 			}
 		}
 	}
@@ -161,15 +137,13 @@ func oracleChain(src *rng.Source, n, maxReq int) *tree.Tree {
 	return b.MustBuild()
 }
 
-// TestDenseMergeMatchesOracle compares every dense power merge step of
-// seeded solves with denseMergeOracle cell for cell: values, the
-// provenance of every cell (off-front cells included, which no front
-// or placement digest pins) and the evaluated-pair count. It covers one
-// to three modes, fat and high trees with and without pre-existing
-// servers, fanout-1 chains, leaf children, child tables whose reached
-// values only mode M can carry, incremental re-solves and a solve
-// after a Reset.
-func TestDenseMergeMatchesOracle(t *testing.T) {
+// TestRunMergeMatchesOracle checks every merge step of seeded solves
+// against denseMergeOracle (see checkRunMerges). It covers one to three
+// modes, fat and high trees with and without pre-existing servers
+// (pre-existing children equipped at every mode), fanout-1 chains, leaf
+// children, child tables whose reached values only mode M can carry,
+// incremental re-solves and a solve after a Reset.
+func TestRunMergeMatchesOracle(t *testing.T) {
 	models := []power.Model{
 		power.MustNew([]int{10}, 12.5, 3),
 		powerModel2(),
@@ -209,10 +183,10 @@ func TestDenseMergeMatchesOracle(t *testing.T) {
 				if _, err := dp.Solve(prob); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				checkDenseMerges(t, dp, label, &tally)
+				checkRunMerges(t, dp, label, &tally)
 			}
 		}
-		if tally.steps == 0 || tally.leafKids == 0 || M > 1 && tally.modeMOnly == 0 {
+		if tally.steps == 0 || tally.leafKids == 0 || M > 1 && tally.modeMOnly == 0 || tally.preModes != 1<<(M+1)-2 {
 			t.Fatalf("M=%d: oracle coverage %+v", M, tally)
 		}
 	}

@@ -12,12 +12,11 @@ import (
 // incremental root merge and the delta-priced, block-sharded root scan.
 //
 // The root is special twice over. First, its merges fold the largest
-// tables of the whole tree, and the generic dirty tracking recomputes a
-// node atomically — so a single dirty child used to re-run every root
-// merge. The root therefore retains each partial accumulated table
-// (rootStep): a re-solve restarts the merge fold at the first child
-// whose subtree (or pre-existing mode) changed and replays only the
-// suffix.
+// tables of the whole tree, so the driver runs it alone on worker 0
+// with a cancellation poll between fold steps. Like every node it
+// restarts its fold at the first child whose subtree (or pre-existing
+// mode) changed and replays only the suffix from the retained step
+// outputs; its final table is then decoded dense for the scan.
 //
 // Second, the root table must be priced — Equations (3) and (4) on the
 // global count vector — on every solve, because the cost model
@@ -54,16 +53,6 @@ import (
 // large enough that per-block bookkeeping stays negligible.
 const rootBlockCells = 2048
 
-// rootStep retains the accumulated table of the root merge fold after
-// one child has been folded in, together with the accumulated subtree
-// counts entering the next step.
-type rootStep struct {
-	out    []int32
-	shape  shape
-	accNew int32
-	accPre []int32
-}
-
 // rootBlock is one shard of the root scan: a retained local Pareto
 // front and whether the last scan re-priced it.
 type rootBlock struct {
@@ -75,18 +64,25 @@ type rootBlock struct {
 // at the first fold step whose inputs changed and keeping every earlier
 // partial merge from the previous solve (see PowerDP.fold), so a
 // change under the q-th root child re-merges only fold steps q and on.
+// The final table is decoded into the dense rootVals the scan reads.
 func (d *PowerDP) runRoot() error {
-	kids := d.t.Children(d.t.Root())
+	r := d.t.Root()
 	d.rootRecomputed = false
-	start, err := d.fold(d.t.Root(), 0, true)
+	start, err := d.fold(r, 0, true)
 	if start < 0 {
-		d.rootRetained = len(kids) // every retained root merge is still exact
+		d.rootRetained = len(d.t.Children(r)) // every retained root merge is still exact
 		return nil
 	}
 	d.rootRetained = start
 	d.recomputed++
 	d.rootRecomputed = true
-	return err
+	if err != nil {
+		return err
+	}
+	tab, sh := d.final(r)
+	d.rootVals = grown(d.rootVals, sh.size)
+	decodeTable(tab, sh, d.M-1, d.rootVals, &d.arenas[0])
+	return nil
 }
 
 // fillWeights computes the per-field affine pricing weights of
@@ -121,8 +117,8 @@ func (d *PowerDP) scanRoot() error {
 	t := d.prob.Tree
 	r := t.Root()
 	rootMode0 := d.prob.Existing.Mode(r)
-	sh := d.shapes[r]
-	vals := d.vals[r]
+	_, sh := d.final(r)
+	vals := d.rootVals
 
 	d.totalPre = grown(d.totalPre, d.M)
 	for i := range d.totalPre {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"replicatree/internal/tree"
 )
@@ -340,7 +341,9 @@ func (s *QoSSolver) equipFrom(j int) int32 {
 func beginTable(buf []bpRun, dimE int32) []bpRun {
 	buf = buf[:0]
 	if dimE > 0 {
-		buf = append(buf, make([]bpRun, dimE+2)...)
+		// Grown in place: the race detector's build would allocate an
+		// appended make's temporary.
+		buf = slices.Grow(buf, int(dimE)+2)[:dimE+2]
 		buf[0].start = dimE + 2
 	}
 	return buf
