@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"replicatree/internal/cost"
 	"replicatree/internal/tree"
@@ -64,7 +65,8 @@ func MinReplicaCount(t *tree.Tree, W int) (int, error) {
 // exactly e reused and n new servers inside it. Every row obeys the
 // monotone-row contract by theorem (see the package documentation), so
 // it needs no dense form. QoSSolver stores its tables the same way, one
-// row per QoS requirement along the replica count.
+// row per QoS requirement along the replica count, and PowerDP one row
+// per combination of the fields other than n_M, along n_M.
 type bpTable struct {
 	dimE, dimN int32
 	runs       []bpRun
@@ -75,6 +77,34 @@ func (t *bpTable) row(e int32) []bpRun {
 		return t.runs
 	}
 	return t.runs[t.runs[e].start:t.runs[e+1].start]
+}
+
+// beginTable starts staging a table of dimE+1 rows in buf, leading
+// with the header of a multi-row table (see bpTable).
+func beginTable(buf []bpRun, dimE int32) []bpRun {
+	buf = buf[:0]
+	if dimE > 0 {
+		// Grown in place: the race detector's build would allocate an
+		// appended make's temporary.
+		buf = slices.Grow(buf, int(dimE)+2)[:dimE+2]
+		buf[0].start = dimE + 2
+	}
+	return buf
+}
+
+// endRow closes row L of a table staged by beginTable.
+func endRow(buf []bpRun, dimE, L int32) {
+	if dimE > 0 {
+		buf[L+1].start = int32(len(buf))
+	}
+}
+
+// keepTable copies a staged table into t's retained buffer, which
+// therefore grows at most once per solve.
+func keepTable(t *bpTable, dimE, dimN int32, staged []bpRun) {
+	t.dimE, t.dimN = dimE, dimN
+	t.runs = grownSpare(t.runs, len(staged))
+	copy(t.runs, staged)
 }
 
 // MinCostSolver solves MinCost-WithPre instances on one tree. Every
@@ -356,12 +386,7 @@ func (s *MinCostSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
 		out.dimN++
 	}
 	w := int64(s.w)
-	// The table is staged in scratch and copied out at its final size,
-	// so a retained step buffer grows at most once per solve.
-	staged, row, spare := sc.accRuns[:0], sc.acc[:0], sc.tmp[:0]
-	if out.dimE > 0 {
-		staged = append(staged, make([]bpRun, out.dimE+2)...)
-	}
+	staged, row, spare := beginTable(sc.accRuns, out.dimE), sc.acc[:0], sc.tmp[:0]
 	for r := int32(0); r <= out.dimE; r++ {
 		row = row[:0]
 		for ea := max(0, r-c.dimE-1); ea <= min(acc.dimE, r); ea++ {
@@ -390,16 +415,10 @@ func (s *MinCostSolver) merge(j, st, ch int, sc *bpScratch, ms *mergeStats) {
 				}
 			}
 		}
-		if out.dimE > 0 {
-			staged[r].start = int32(len(staged))
-		}
 		staged = append(staged, row...)
+		endRow(staged, out.dimE, r)
 	}
-	if out.dimE > 0 {
-		staged[out.dimE+1].start = int32(len(staged))
-	}
-	out.runs = grownSpare(out.runs, len(staged))
-	copy(out.runs, staged)
+	keepTable(out, out.dimE, out.dimN, staged)
 	sc.accRuns, sc.acc, sc.tmp = staged[:0], row[:0], spare[:0]
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"replicatree/internal/tree"
 )
@@ -334,34 +333,6 @@ func (s *QoSSolver) equipFrom(j int) int32 {
 		}
 	}
 	return accN + 2
-}
-
-// beginTable starts staging a table of dimE+1 rows in buf, leading
-// with the header of a multi-row table (see bpTable).
-func beginTable(buf []bpRun, dimE int32) []bpRun {
-	buf = buf[:0]
-	if dimE > 0 {
-		// Grown in place: the race detector's build would allocate an
-		// appended make's temporary.
-		buf = slices.Grow(buf, int(dimE)+2)[:dimE+2]
-		buf[0].start = dimE + 2
-	}
-	return buf
-}
-
-// endRow closes row L of a table staged by beginTable.
-func endRow(buf []bpRun, dimE, L int32) {
-	if dimE > 0 {
-		buf[L+1].start = int32(len(buf))
-	}
-}
-
-// keepTable copies a staged table into t's retained buffer, which
-// therefore grows at most once per solve.
-func keepTable(t *bpTable, dimE, dimN int32, staged []bpRun) {
-	t.dimE, t.dimN = dimE, dimN
-	t.runs = grownSpare(t.runs, len(staged))
-	copy(t.runs, staged)
 }
 
 // split returns the acc cell r1 that cell (r, L) of fold step st of
