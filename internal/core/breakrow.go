@@ -128,6 +128,13 @@ func (sc *bpScratch) cover(o *bpScratch) {
 	for i, p := range sc.runBufs() {
 		fitCap(p, *o.runBufs()[i])
 	}
+	// Buffers that trade places — the folds' res and alt, MinCost's
+	// row and envMin spare — draw each other's needs in whichever order
+	// a worker's nodes swap them, so each pair is sized as one.
+	fitCap(&sc.res, sc.alt)
+	fitCap(&sc.alt, sc.res)
+	fitCap(&sc.acc, sc.tmp)
+	fitCap(&sc.tmp, sc.acc)
 	if len(sc.rows) < len(o.rows) {
 		sc.rows = grownKeep(sc.rows, len(o.rows))
 	}
