@@ -257,93 +257,45 @@ func pick(a, c provLine, aS, aE, k, delta, cl, cr int32, mode uint8) uint64 {
 	return packProv(int(a.base+i*a.step), int(c.base+(k-delta-i)*c.step), mode)
 }
 
-// provChild locates the child rows that one acc row's cells pair with
-// in a given output row: the child digits are the output digits minus
-// the acc digits (cd), less one in the field a mode bump takes.
-type provChild struct {
-	tab            bpTable
-	sh             shape
-	nM             int
-	cw, cd         []int32 // child row strides and unbumped digits
-	row, base, sum int32   // row index, flat cell 0 and new-digit sum of cd
-	bad            int     // the one digit of cd out of range; -1: none, -2: several
-	mode0          int     // the child's initial mode, 0 when it is new
-}
-
-// locate sets the unbumped child digits to oDig-aDig.
-func (pc *provChild) locate(oDig, aDig []int32) {
-	pc.row, pc.base, pc.sum, pc.bad = 0, 0, 0, -1
-	for f := range pc.cd {
-		pc.cd[f] = oDig[f] - aDig[f]
-		if f == pc.nM {
-			continue
-		}
-		pc.row += pc.cd[f] * pc.cw[f]
-		pc.base += pc.cd[f] * pc.sh.strides[f]
-		if f < pc.nM {
-			pc.sum += pc.cd[f]
-		}
-		if pc.cd[f] >= pc.sh.dims[f] {
-			if pc.bad == -1 {
-				pc.bad = f
-			} else {
-				pc.bad = -2
-			}
-		}
-	}
-}
-
-// line returns the child row with field b bumped down by one (b < 0:
-// none), or false when that row lies outside the child table.
-func (pc *provChild) line(b int) (provLine, bool) {
-	l := provLine{base: pc.base, step: pc.sh.strides[pc.nM], eff: pc.sh.dims[pc.nM] - pc.sum}
-	row := pc.row
-	if b < 0 {
-		if pc.bad != -1 {
-			return l, false
-		}
-	} else {
-		if cd := pc.cd[b]; !(pc.bad == -1 && cd >= 1 || pc.bad == b && cd == pc.sh.dims[b]) {
-			return l, false
-		}
-		row -= pc.cw[b]
-		l.base -= pc.sh.strides[b]
-		if b < pc.nM {
-			l.eff++
-		}
-	}
-	l.runs = pc.tab.row(row)
-	return l, true
+// provScan is the state of one lazyProv call: the step's input and
+// child tables, their row strides, the target cell (n_M index k, value
+// vstar) and digit scratch.
+type provScan struct {
+	acc, ch      bpTable
+	accSh, chSh  shape
+	nM           int
+	aw, cw       []int32 // row strides of the acc and child tables
+	t, lo, hi, a []int32 // an option's acc+child digits, the acc box, the acc digits
+	k            int32
+	vstar        int64
+	caps         []int
 }
 
 // lazyProv re-derives the provenance of one output cell of fold step
 // st of node j: the first (acc cell, child cell, mode) triple in the
 // dense merge's scan order — exactly the packProv order — that
 // achieves the cell's value. Returns noProv when the cell is
-// unreached.
-//
-// The candidate acc rows form a box of row digits, walked in row
-// order. Cells of rows that differ only in reuse digits interleave in
-// flat order, so the minimal triple is taken over every row of one
-// n_1..n_{M-1} slab; the first slab holding a candidate wins, since
-// its cells all precede the next slab's.
+// unreached. Each option — no place, or equipping the child at one
+// mode — pairs acc rows with the child rows at a fixed digit offset,
+// so the minimal triple is the least of the options' minima.
 func (s *PowerSolver) lazyProv(j, st int, cell int32) uint64 {
 	out := &s.steps[j][st]
-	acc, accSh := s.stepIn(j, st)
 	ch := s.prob.Tree.Children(j)[st]
-	pc := provChild{nM: s.prob.Power.M() - 1, mode0: int(s.prob.Existing.Mode(ch))}
-	pc.tab, pc.sh = s.final(ch)
-	nf, nM := len(out.sh.dims), pc.nM
+	M := s.prob.Power.M()
+	p := provScan{nM: M - 1, caps: s.prob.Power.Caps}
+	p.acc, p.accSh = s.stepIn(j, st)
+	p.ch, p.chSh = s.final(ch)
+	nf, nM := len(out.sh.dims), p.nM
 	var buf [96]int32 // the digit vectors of up to three modes
 	dig := buf[:]
 	if 8*nf > len(dig) {
 		dig = make([]int32, 8*nf)
 	}
-	oDig, aDig, lo, hi := dig[:nf], dig[nf:2*nf], dig[2*nf:3*nf], dig[3*nf:4*nf]
-	pc.cd = dig[4*nf : 5*nf]
+	oDig := dig[:nf]
+	p.t, p.lo, p.hi, p.a = dig[nf:2*nf], dig[2*nf:3*nf], dig[3*nf:4*nf], dig[4*nf:5*nf]
 	ow := rowStrides(out.sh, nM, dig[5*nf:6*nf])
-	aw := rowStrides(accSh, nM, dig[6*nf:7*nf])
-	pc.cw = rowStrides(pc.sh, nM, dig[7*nf:8*nf])
+	p.aw = rowStrides(p.accSh, nM, dig[6*nf:7*nf])
+	p.cw = rowStrides(p.chSh, nM, dig[7*nf:8*nf])
 
 	rem, outRow := cell, int32(0)
 	for f := range oDig {
@@ -351,45 +303,80 @@ func (s *PowerSolver) lazyProv(j, st int, cell int32) uint64 {
 		rem %= out.sh.strides[f]
 		outRow += oDig[f] * ow[f]
 	}
-	k := oDig[nM]
-	vstar := bpAt(out.tab.row(outRow), k)
-	if vstar >= bpInfVal {
+	p.k = oDig[nM]
+	if p.vstar = bpAt(out.tab.row(outRow), p.k); p.vstar >= bpInfVal {
 		return noProv
 	}
-	// The acc row digits a candidate can use: the child digits
-	// oDig-aDig must fit the child table, give or take the one digit a
-	// mode bump takes.
-	for f := range lo {
-		lo[f], hi[f] = max(0, oDig[f]-pc.sh.dims[f]), min(oDig[f], accSh.dims[f]-1)
-		if f == nM {
-			lo[f], hi[f] = 0, 0
+	mode0 := int(s.prob.Existing.Mode(ch))
+	best := noProv
+	for m := 0; m <= M; m++ {
+		// Equipping the child bumps its mode's field; a new child at
+		// mode M moves n_M one cell right instead.
+		copy(p.t, oDig)
+		delta := int32(0)
+		switch {
+		case m == 0:
+		case mode0 != 0:
+			p.t[M+(mode0-1)*M+m-1]-- // e_{mode0→m}
+		case m < M:
+			p.t[m-1]--
+		default:
+			delta = 1
 		}
-		if lo[f] > hi[f] {
+		best = min(best, p.option(uint8(m), delta))
+	}
+	return best
+}
+
+// option returns the minimal provenance candidate of one option: mode
+// 0 pairs an acc cell of value v with a child cell of value vstar-v at
+// k-i; mode m pairs an acc cell of value vstar with a child cell mode m
+// can carry at k-delta-i. The child row is t minus the acc row. Acc
+// rows are walked in row order; cells of rows that differ only in
+// reuse digits interleave in flat order, so the minimum is taken over
+// every row of one n_1..n_{M-1} slab, and the first slab holding a
+// candidate wins, since its cells all precede the next slab's.
+func (p *provScan) option(mode uint8, delta int32) uint64 {
+	nM := p.nM
+	for f := range p.t {
+		p.lo[f], p.hi[f] = max(0, p.t[f]-p.chSh.dims[f]+1), min(p.t[f], p.accSh.dims[f]-1)
+		if f == nM {
+			p.lo[f], p.hi[f] = 0, 0
+		}
+		if p.lo[f] > p.hi[f] {
 			return noProv
 		}
 	}
-	copy(aDig, lo)
-
+	copy(p.a, p.lo)
 	best := noProv
 	for {
-		pc.locate(oDig, aDig)
-		if pc.bad != -2 {
-			a := provLine{step: accSh.strides[nM], eff: accSh.dims[nM] - newDigits(aDig, nM)}
-			aRow := int32(0)
-			for f := range aDig {
-				aRow += aDig[f] * aw[f]
-				a.base += aDig[f] * accSh.strides[f]
+		var aRow, cRow int32
+		a := provLine{step: p.accSh.strides[nM], eff: p.accSh.dims[nM]}
+		c := provLine{step: p.chSh.strides[nM], eff: p.chSh.dims[nM]}
+		for f, ad := range p.a {
+			cd := p.t[f] - ad
+			if f == nM {
+				continue
 			}
-			a.runs = acc.row(aRow)
-			best = min(best, s.provRow(a, &pc, vstar, k))
+			aRow += ad * p.aw[f]
+			cRow += cd * p.cw[f]
+			a.base += ad * p.accSh.strides[f]
+			c.base += cd * p.chSh.strides[f]
+			if f < nM {
+				a.eff -= ad
+				c.eff -= cd
+			}
 		}
-		f := nf - 1
+		if a.runs, c.runs = p.acc.row(aRow), p.ch.row(cRow); len(a.runs) > 0 && len(c.runs) > 0 {
+			best = min(best, p.pair(a, c, mode, delta))
+		}
+		f := len(p.a) - 1
 		for ; f >= 0; f-- {
-			if aDig[f] < hi[f] {
-				aDig[f]++
+			if p.a[f] < p.hi[f] {
+				p.a[f]++
 				break
 			}
-			aDig[f] = lo[f]
+			p.a[f] = p.lo[f]
 		}
 		if f < 0 || f < nM && best != noProv {
 			return best
@@ -397,57 +384,47 @@ func (s *PowerSolver) lazyProv(j, st int, cell int32) uint64 {
 	}
 }
 
-// provRow returns the minimal provenance candidate of the target cell
-// (k, value vstar) among the cells of acc line a, or noProv. The first
-// acc run holding a candidate holds the row's minimal one: later runs
-// only produce larger acc cells.
-func (s *PowerSolver) provRow(a provLine, pc *provChild, vstar int64, k int32) uint64 {
-	caps := s.prob.Power.Caps
-	M := len(caps)
-	for p := range a.runs {
-		aS, aE, v := a.runs[p].start, a.eff, a.runs[p].val
-		if p+1 < len(a.runs) {
-			aE = a.runs[p+1].start
-		}
-		best := noProv
-		// No place: a child cell of value exactly vstar - v at k-i.
-		if l, ok := pc.line(-1); ok && v <= vstar {
-			for q, run := range l.runs {
-				if run.val > vstar-v {
+// pair returns the option's minimal candidate between acc line a and
+// child line c, or noProv. The first acc run holding a candidate holds
+// the minimal one: later runs only produce larger acc cells.
+func (p *provScan) pair(a, c provLine, mode uint8, delta int32) uint64 {
+	for q, ar := range a.runs {
+		// The child cells [cl, cr] an acc cell of value v pairs with:
+		// with nothing placed, the run of value vstar-v; with the child
+		// equipped at mode m, and only for v == vstar, the cells mode m
+		// can carry, a suffix of the row.
+		cl, cr := int32(-1), c.eff-1
+		switch {
+		case mode == 0 && ar.val <= p.vstar:
+			for r, run := range c.runs {
+				if run.val > p.vstar-ar.val {
 					continue
 				}
-				if run.val == vstar-v {
-					cr := l.eff - 1
-					if q+1 < len(l.runs) {
-						cr = l.runs[q+1].start - 1
+				if run.val == p.vstar-ar.val {
+					cl = run.start
+					if r+1 < len(c.runs) {
+						cr = c.runs[r+1].start - 1
 					}
-					best = pick(a, l, aS, aE, k, 0, run.start, cr, 0)
 				}
 				break
 			}
-		}
-		// Equip the child at mode m: any child cell mode m can carry.
-		for m := 1; v == vstar && m <= M; m++ {
-			b, delta := m-1, int32(0)
-			switch {
-			case pc.mode0 != 0:
-				b = M + (pc.mode0-1)*M + (m - 1) // e_{mode0→m}
-			case m == M:
-				b, delta = -1, 1 // a new child at mode M moves n_M one cell right
-			}
-			l, ok := pc.line(b)
-			if !ok {
-				continue
-			}
-			for _, run := range l.runs {
-				if run.val <= int64(caps[m-1]) {
-					best = min(best, pick(a, l, aS, aE, k, delta, run.start, l.eff-1, uint8(m)))
+		case mode != 0 && ar.val == p.vstar:
+			for _, run := range c.runs {
+				if run.val <= int64(p.caps[mode-1]) {
+					cl = run.start
 					break
 				}
 			}
 		}
-		if best != noProv {
-			return best
+		if cl < 0 {
+			continue
+		}
+		aE := a.eff
+		if q+1 < len(a.runs) {
+			aE = a.runs[q+1].start
+		}
+		if b := pick(a, c, ar.start, aE, p.k, delta, cl, cr, mode); b != noProv {
+			return b
 		}
 	}
 	return noProv
