@@ -113,12 +113,12 @@ func envMinInto(acc, src, spare []bpRun) (row, next []bpRun) {
 // merges, never shrunk, so steady-state solves stay allocation-free
 // once grown to the high-water mark.
 type bpScratch struct {
-	acc, ch  []bpRun   // row accumulator and shifted-row buffer
-	frag     []bpRun   // per-run candidate fragment
-	res, alt []bpRun   // fold ping-pong buffers
-	tmp      []bpRun   // envMin destination for row accumulation
-	rows     [][]bpRun // accumulators of the touched output rows (PowerDP)
-	accRuns  []bpRun   // a table staged before it is kept
+	acc, ch  []bpRun // row accumulator and shifted-row buffer
+	frag     []bpRun // per-run candidate fragment
+	res, alt []bpRun // fold ping-pong buffers
+	tmp      []bpRun // envMin destination for row accumulation
+	slab     []bpRun // the output rows of a power merge
+	accRuns  []bpRun // a table staged before it is kept
 }
 
 // cover grows every buffer of sc to at least the capacity of o's
@@ -135,17 +135,11 @@ func (sc *bpScratch) cover(o *bpScratch) {
 	fitCap(&sc.alt, sc.res)
 	fitCap(&sc.acc, sc.tmp)
 	fitCap(&sc.tmp, sc.acc)
-	if len(sc.rows) < len(o.rows) {
-		sc.rows = grownKeep(sc.rows, len(o.rows))
-	}
-	for r := range o.rows {
-		fitCap(&sc.rows[r], o.rows[r])
-	}
 }
 
 // runBufs lists the flat run buffers of sc.
-func (sc *bpScratch) runBufs() [7]*[]bpRun {
-	return [7]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp, &sc.accRuns}
+func (sc *bpScratch) runBufs() [8]*[]bpRun {
+	return [8]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp, &sc.slab, &sc.accRuns}
 }
 
 // fitCap replaces *dst with an empty buffer of src's capacity when its

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // This file holds the run kernel of the power dynamic program — the
 // only power merge — and the lazy provenance reconstruction it relies
 // on.
@@ -161,29 +163,29 @@ func (d *PowerDP) merge(j, st, ch int, accNew *int32, accPre []int32, ar *arena[
 		}
 	}
 
-	// Output row r accumulates in sc.rows[slot[r]], a buffer taken on
-	// the row's first contribution (slot -1 until then), so the
-	// per-row cost of a sparse table is one slot. envMin goes through
-	// tmp and is copied back, keeping each buffer with its row.
-	slot := ar.alloc(int(outRows))
-	for r := range slot {
-		slot[r] = -1
+	// Output row r accumulates in the span (start, length, capacity)
+	// of sc.slab at span[3r:], empty until the row's first
+	// contribution. A row outgrowing its span moves to the slab's end
+	// with twice the room, so rows cost one slab, not a buffer each.
+	span := ar.alloc(3 * int(outRows))
+	for i := range span {
+		span[i] = 0
 	}
-	used := int32(0)
+	sc.slab = sc.slab[:0]
 	add := func(r int32, src []bpRun) {
-		switch {
-		case len(src) == 0:
-		case slot[r] < 0:
-			if int(used) == len(sc.rows) {
-				sc.rows = append(sc.rows, nil)
-			}
-			slot[r] = used
-			sc.rows[used] = append(sc.rows[used][:0], src...)
-			used++
-		default:
-			sc.tmp = envMin(sc.rows[slot[r]], src, sc.tmp)
-			sc.rows[slot[r]] = append(sc.rows[slot[r]][:0], sc.tmp...)
+		if len(src) == 0 {
+			return
 		}
+		sp := span[3*r : 3*r+3]
+		if sp[1] > 0 {
+			sc.tmp = envMin(sc.slab[sp[0]:sp[0]+sp[1]], src, sc.tmp)
+			src = sc.tmp
+		}
+		if n := int32(len(src)); n > sp[2] {
+			sp[0], sp[2] = int32(len(sc.slab)), 2*n
+			sc.slab = slices.Grow(sc.slab, int(2*n))[:sp[0]+2*n]
+		}
+		sp[1] = int32(copy(sc.slab[sp[0]:], src))
 	}
 	shift := func(r int32, a []bpRun, delta, lim int32) {
 		sh := bpShift(a, delta, lim, sc.ch)
@@ -222,14 +224,16 @@ func (d *PowerDP) merge(j, st, ch int, accNew *int32, accPre []int32, ar *arena[
 	}
 
 	// No merge input aliases the step's own buffer, so the table is
-	// written there directly.
+	// written there directly, grown once to its final size.
+	n := int(outRows) + 1
+	for r := int32(0); r < outRows; r++ {
+		n += int(span[3*r+1])
+	}
 	step := &d.steps[j][st]
-	runs := beginTable(step.tab.runs, outRows-1)
-	for r, s := range slot {
-		if s >= 0 {
-			runs = append(runs, sc.rows[s]...)
-		}
-		endRow(runs, outRows-1, int32(r))
+	runs := beginTable(grownSpare(step.tab.runs, n), outRows-1)
+	for r := int32(0); r < outRows; r++ {
+		runs = append(runs, sc.slab[span[3*r]:span[3*r]+span[3*r+1]]...)
+		endRow(runs, outRows-1, r)
 	}
 	step.tab = bpTable{dimE: outRows - 1, dimN: outLen - 1, runs: runs}
 	step.sh.assign(outSh)
