@@ -79,8 +79,10 @@ func (d *PowerDP) runRoot() error {
 	if err != nil {
 		return err
 	}
+	// The table being replaced is the one the last scan priced (a
+	// recomputed root is always scanned), so it becomes the diff base.
 	tab, sh := d.final(r)
-	d.rootVals = grown(d.rootVals, sh.size)
+	d.prevRoot, d.rootVals = d.rootVals, grown(d.prevRoot, sh.size)
 	decodeTable(tab, sh, d.M-1, d.rootVals, &d.arenas[0])
 	return nil
 }
@@ -171,10 +173,8 @@ func (d *PowerDP) scanRoot() error {
 	d.paretoPrune()
 	d.rootScanned, d.rootRepriced = sh.size, repriced
 
-	// Retain the scanned table and its pricing context for the next
-	// solve's diff.
-	d.prevRoot = grown(d.prevRoot, sh.size)
-	copy(d.prevRoot, vals[:sh.size])
+	// Retain the pricing context for the next solve's diff; runRoot
+	// keeps the scanned table.
 	d.prevDims = append(d.prevDims[:0], sh.dims...)
 	d.scanPower = power.Model{
 		Caps:   append(d.scanPower.Caps[:0], d.prob.Power.Caps...),
