@@ -207,14 +207,12 @@ func (d *dpDriver) commit() {
 // was dirtied spuriously and stays as is). A step is stale when its
 // child is (see stale). baseDemand says whether the fold's base cell
 // holds j's own demand, in which case a demand change restarts at 0.
-// Restarting at s > 0 needs a retained accumulator after step s-1;
-// snap reports whether step s-1 kept one (nil: every step does), and
-// the fold restarts at 0 otherwise. Replayed suffix steps are counted
-// on worker w.
+// Every step retains its output, the accumulator a restart at the next
+// step needs. Replayed suffix steps are counted on worker w.
 //
 // The retained prefix stays exact by induction: any input change to a
 // prefix step makes that step stale and moves the restart before it.
-func (d *dpDriver) foldStart(j, w int, kids []int, baseDemand bool, snap func(q int) bool) int {
+func (d *dpDriver) foldStart(j, w int, kids []int, baseDemand bool) int {
 	if d.fullSolve || baseDemand && d.t.DemandGen(j) != d.seen[j] {
 		return 0
 	}
@@ -225,11 +223,8 @@ func (d *dpDriver) foldStart(j, w int, kids []int, baseDemand bool, snap func(q 
 			break
 		}
 	}
-	switch {
-	case start == len(kids) && baseDemand:
+	if start == len(kids) && baseDemand {
 		return -1
-	case start > 0 && snap != nil && !snap(start-1):
-		return 0
 	}
 	if start > 0 {
 		d.mstats[w].replayed += len(kids) - start

@@ -333,7 +333,7 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 func (s *MinCostSolver) solveNode(j, w int) error {
 	s.base[j] = bpRun{val: int64(s.t.ClientSum(j))}
 	kids := s.t.Children(j)
-	start := s.foldStart(j, w, kids, true, nil)
+	start := s.foldStart(j, w, kids, true)
 	for st := start; st >= 0 && st < len(kids); st++ {
 		s.merge(j, st, kids[st], &s.bps[w], &s.mstats[w])
 	}

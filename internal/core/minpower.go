@@ -406,7 +406,7 @@ func (d *PowerDP) fold(j, w int, root bool) (int, error) {
 	t := d.t
 	ar, sc, ms := &d.arenas[w], &d.bps[w], &d.mstats[w]
 	kids := t.Children(j)
-	start := d.foldStart(j, w, kids, true, nil)
+	start := d.foldStart(j, w, kids, true)
 	if start < 0 {
 		return start, nil
 	}

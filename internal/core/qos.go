@@ -205,7 +205,7 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 func (s *QoSSolver) solveNode(j, w int) error {
 	sc := &s.bps[w]
 	kids := s.t.Children(j)
-	for st := s.foldStart(j, w, kids, false, nil); st < len(kids); st++ {
+	for st := s.foldStart(j, w, kids, false); st < len(kids); st++ {
 		s.merge(j, st, kids[st], sc, &s.mstats[w])
 	}
 	s.applyClosures(j, sc)
