@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -470,7 +471,8 @@ func (d *PowerDP) childDims(ch int, accNew int32, accPre []int32, ar *arena[int3
 // paretoPrune keeps the non-dominated candidates of d.cands in d.front,
 // sorted by ascending cost with strictly descending power. Costs within
 // frontEps are treated as equal so that floating-point jitter in summed
-// prices does not produce near-duplicate front points.
+// prices does not produce near-duplicate front points. Of candidates
+// tied in cost and power the first by frontBefore wins, as in pushFront.
 func (d *PowerDP) paretoPrune() {
 	const frontEps = 1e-9
 	front := d.front[:0]
@@ -479,19 +481,7 @@ func (d *PowerDP) paretoPrune() {
 		return
 	}
 	slices.SortFunc(d.cands, func(a, b frontEntry) int {
-		if a.cost != b.cost {
-			if a.cost < b.cost {
-				return -1
-			}
-			return 1
-		}
-		if a.power != b.power {
-			if a.power < b.power {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(a.power, b.power), frontBefore(a, b))
 	})
 	bestPower := math.Inf(1)
 	for _, c := range d.cands {

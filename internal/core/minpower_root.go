@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -290,16 +291,17 @@ func (d *PowerDP) scanBlock(blk *rootBlock, lo, hi int, vals []int32, sh shape, 
 
 // pushFront inserts e into a front kept ascending in cost with strictly
 // descending power, dropping e when an entry weakly dominates it and
-// evicting the entries e dominates. Ties in both fields keep the
-// earlier-scanned entry, so a block front is deterministic for the
-// block's fixed scan order.
+// evicting the entries e dominates. Of two entries tied in both fields
+// the one with the smaller (rootCell, rootMode) stays (frontBefore), so
+// the front is a function of the inserted set, not of its order.
 func pushFront(front []frontEntry, e frontEntry) []frontEntry {
 	i := sort.Search(len(front), func(k int) bool { return front[k].cost >= e.cost })
 	if i > 0 && front[i-1].power <= e.power {
-		return front // dominated by a cheaper-or-equal entry
+		return front // dominated by a cheaper entry
 	}
-	if i < len(front) && front[i].cost == e.cost && front[i].power <= e.power {
-		return front // dominated at equal cost
+	if i < len(front) && front[i].cost == e.cost &&
+		(front[i].power < e.power || front[i].power == e.power && frontBefore(front[i], e) <= 0) {
+		return front // dominated at equal cost, or tied with an earlier entry
 	}
 	j := i
 	for j < len(front) && front[j].power >= e.power {
@@ -313,4 +315,10 @@ func pushFront(front []frontEntry, e frontEntry) []frontEntry {
 	copy(front[i+1:], front[i:])
 	front[i] = e
 	return front
+}
+
+// frontBefore orders the candidates of the root scan by (rootCell,
+// rootMode), the tie rule between entries of equal cost and power.
+func frontBefore(a, b frontEntry) int {
+	return cmp.Or(cmp.Compare(a.rootCell, b.rootCell), cmp.Compare(a.rootMode, b.rootMode))
 }

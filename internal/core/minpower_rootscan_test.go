@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"replicatree/internal/cost"
@@ -201,49 +202,55 @@ func TestRootCellsRepricedBounds(t *testing.T) {
 }
 
 // TestPushFrontKeepsExactPareto checks the streaming filter against a
-// brute-force Pareto computation on adversarial insertion orders.
+// brute-force Pareto computation on adversarial insertion orders, and
+// its tie rule: of entries equal in cost and power the smallest
+// (rootCell, rootMode) stays, so every insertion order of the same
+// entries yields the same front.
 func TestPushFrontKeepsExactPareto(t *testing.T) {
 	src := rng.New(213)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + src.IntN(24)
 		entries := make([]frontEntry, n)
 		for i := range entries {
+			// Distinct (rootCell, rootMode) keys, like the root scan's
+			// candidates, with ties in (cost, power) frequent.
 			entries[i] = frontEntry{
-				cost:  float64(src.IntN(8)),
-				power: float64(src.IntN(8)),
+				cost:     float64(src.IntN(8)),
+				power:    float64(src.IntN(8)),
+				rootCell: int32(i / 2),
+				rootMode: uint8(i % 2),
 			}
 		}
-		var front []frontEntry
-		for _, e := range entries {
-			front = pushFront(front, e)
+		var first []frontEntry
+		for order := 0; order < 4; order++ {
+			var front []frontEntry
+			for _, k := range src.Perm(n) {
+				front = pushFront(front, entries[k])
+			}
+			if order == 0 {
+				first = front
+			} else if !slices.Equal(front, first) {
+				t.Fatalf("trial %d: insertion order changed the front: %v, first %v", trial, front, first)
+			}
 		}
 		// Brute-force: an entry survives iff no other entry weakly
-		// dominates it (ties keep exactly one copy).
+		// dominates it and no entry tied with it has a smaller key.
 		for _, e := range entries {
 			dominated := false
 			for _, o := range entries {
-				if (o.cost < e.cost && o.power <= e.power) || (o.cost <= e.cost && o.power < e.power) {
+				if (o.cost < e.cost && o.power <= e.power) || (o.cost <= e.cost && o.power < e.power) ||
+					(o.cost == e.cost && o.power == e.power && frontBefore(o, e) < 0) {
 					dominated = true
 					break
 				}
 			}
-			found := false
-			for _, f := range front {
-				if f.cost == e.cost && f.power == e.power {
-					found = true
-					break
-				}
-			}
-			if dominated && found {
-				t.Fatalf("trial %d: dominated entry %v kept in %v", trial, e, front)
-			}
-			if !dominated && !found {
-				t.Fatalf("trial %d: non-dominated entry %v missing from %v", trial, e, front)
+			if found := slices.Contains(first, e); dominated == found {
+				t.Fatalf("trial %d: entry %v dominated %v, kept %v in %v", trial, e, dominated, found, first)
 			}
 		}
-		for i := 1; i < len(front); i++ {
-			if front[i].cost <= front[i-1].cost || front[i].power >= front[i-1].power {
-				t.Fatalf("trial %d: front order broken: %v", trial, front)
+		for i := 1; i < len(first); i++ {
+			if first[i].cost <= first[i-1].cost || first[i].power >= first[i-1].power {
+				t.Fatalf("trial %d: front order broken: %v", trial, first)
 			}
 		}
 	}
