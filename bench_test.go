@@ -297,7 +297,9 @@ func BenchmarkPowerSolverReuse(b *testing.B) {
 			b.Fatal("no solution")
 		}
 	}
-	b.ReportMetric(float64(dp.Stats().MergeCellsScanned), "merge-cells/op")
+	st := dp.Stats()
+	b.ReportMetric(float64(st.MergeCellsScanned), "merge-cells/op")
+	b.ReportMetric(float64(st.RootCellsRepriced), "root-cells/op")
 }
 
 // BenchmarkQoSSolverReuse times steady-state constrained-counting
@@ -471,6 +473,7 @@ func BenchmarkRootScanReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(dp.Stats().RootCellsRepriced), "root-cells/op")
 }
 
 // BenchmarkPooledSweep times the per-worker solver-pool pattern the
