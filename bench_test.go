@@ -407,8 +407,8 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 		prob := core.PowerProblem{Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()}
 		dst := tree.ReplicasOf(t)
 		// Warm through the drift cycle itself (both demand parities),
-		// so the measured steps re-visit table states whose retained
-		// root-block fronts have already grown to size.
+		// so the measured steps re-visit table states whose scratch has
+		// already grown to size.
 		for warm := 0; warm < 4; warm++ {
 			for _, j := range nodes {
 				t.SetDemand(j, 0, 1+warm%2)
@@ -438,13 +438,12 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 
 }
 
-// BenchmarkRootScanReuse isolates the power DP's delta-priced root
-// scan: a warm PowerDP re-solving under alternating cost models. The
-// cost model invalidates no subtree table, so every iteration pays
-// exactly one full root re-price (plus the Pareto merge of the block
-// fronts) and no merge work at all — SolveStats shows Recomputed == 0
-// with RootCellsRepriced == the root-table size. Must report 0
-// allocs/op (CI zero-alloc gate).
+// BenchmarkRootScanReuse isolates the power DP's root scan: a warm
+// PowerDP re-solving under alternating cost models. The cost model
+// invalidates no subtree table, so every iteration pays one root scan
+// and no merge work at all — SolveStats shows Recomputed == 0, and
+// root-cells/op reports RootCellsRepriced, the root table's run starts
+// the scan priced. Must report 0 allocs/op (CI zero-alloc gate).
 func BenchmarkRootScanReuse(b *testing.B) {
 	src := replicatree.NewRNG(4)
 	t := tree.MustGenerate(tree.PowerConfig(50), src)
@@ -458,9 +457,8 @@ func BenchmarkRootScanReuse(b *testing.B) {
 		{Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()},
 		{Existing: existing, Power: exper.Exp3Power(), Cost: alt},
 	}
-	// An even warm count leaves the solver on probs[1], so iteration 0
-	// (probs[0]) swaps the cost model — every measured iteration prices
-	// the full root table rather than hitting the skip-scan path.
+	// An even warm count leaves the solver on probs[1], so every
+	// measured iteration swaps the cost model.
 	for warm := 0; warm < 4; warm++ {
 		if _, err := dp.Solve(probs[warm%2]); err != nil {
 			b.Fatal(err)

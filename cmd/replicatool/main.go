@@ -329,7 +329,6 @@ func cmdMinPower(sub string, args []string) error {
 type statsOut struct {
 	Nodes             int `json:"nodes"`
 	Recomputed        int `json:"recomputed_tables"`
-	RootCellsScanned  int `json:"root_cells_scanned"`
 	RootCellsRepriced int `json:"root_cells_repriced"`
 	// Merge-layer counters: table cells the merge kernels touched
 	// (breakpoint runs for compressed steps), DP rows run in compressed
@@ -344,7 +343,6 @@ func newStatsOut(st replicatree.SolveStats) *statsOut {
 	return &statsOut{
 		Nodes:              st.Nodes,
 		Recomputed:         st.Recomputed,
-		RootCellsScanned:   st.RootCellsScanned,
 		RootCellsRepriced:  st.RootCellsRepriced,
 		MergeCellsScanned:  st.MergeCellsScanned,
 		RowsCompressed:     st.RowsCompressed,
@@ -404,9 +402,9 @@ func cmdGreedy(args []string) error {
 // output shows how many of the tree's node tables the solver actually
 // rebuilt — the dirty ancestor chains — next to the reconfiguration it
 // chose. With -power the replay drives the MinPower-BoundedCost DP
-// instead of MinCost, and each step additionally reports how much of
-// the root table the incremental root scan re-priced
-// (root_cells_scanned / root_cells_repriced).
+// instead of MinCost, and each step additionally reports how many root
+// table cells the root scan priced (root_cells_repriced: the starts of
+// the root rows' runs).
 func cmdDrift(args []string) error {
 	fs := flag.NewFlagSet("drift", flag.ExitOnError)
 	treeF := fs.String("tree", "", "tree JSON file")
@@ -551,12 +549,10 @@ type driftStep struct {
 	DownNodes   *int `json:"down_nodes,omitempty"`
 	MaskedNodes *int `json:"masked_nodes,omitempty"`
 	Infeasible  bool `json:"infeasible,omitempty"`
-	// Power-mode extras: the solution's power and the incremental
-	// root-scan counters. Pointers so power mode always emits them —
-	// legitimate zeros included (a step whose redraws changed nothing
-	// skips the scan) — while mincost mode omits them entirely.
+	// Power-mode extras: the solution's power and the root-scan
+	// counter. Pointers so power mode always emits them while mincost
+	// mode omits them entirely.
 	Power             *float64 `json:"power,omitempty"`
-	RootCellsScanned  *int     `json:"root_cells_scanned,omitempty"`
 	RootCellsRepriced *int     `json:"root_cells_repriced,omitempty"`
 	// -stats extras: the merge-layer counters of the step's re-solve,
 	// emitted (zeros included) only when the flag is set.
@@ -573,13 +569,9 @@ type driftOut struct {
 	// (tables_full_rebuild).
 	TablesRebuilt int `json:"tables_rebuilt"`
 	TablesFull    int `json:"tables_full_rebuild"`
-	// Power mode: total root cells re-priced across steps next to the
-	// total the scans covered (unchanged blocks are scanned via a cheap
-	// diff but reuse their retained Pareto fronts instead of
-	// re-pricing). Pointers so power mode always emits the totals, even
-	// when every scan was skipped.
+	// Power mode: total root cells priced across steps. A pointer so
+	// power mode always emits the total.
 	RootCellsRepriced *int `json:"root_cells_repriced,omitempty"`
-	RootCellsScanned  *int `json:"root_cells_scanned,omitempty"`
 	// -stats totals of the per-step merge-layer counters.
 	MergeCellsScanned  *int `json:"merge_cells_scanned,omitempty"`
 	RowsCompressed     *int `json:"rows_compressed,omitempty"`
@@ -628,8 +620,8 @@ func driftPower(t *replicatree.Tree, steps int, drift func() int, pm replicatree
 	placement, spare := first.Placement, replicatree.ReplicasOf(t)
 
 	out := newDriftOut(placement.Count(), stats)
-	var totalRepriced, totalScanned int
-	out.RootCellsRepriced, out.RootCellsScanned = &totalRepriced, &totalScanned
+	var totalRepriced int
+	out.RootCellsRepriced = &totalRepriced
 	for s := 1; s <= steps; s++ {
 		changed := drift()
 		sol, err := dp.Solve(replicatree.PowerProblem{Existing: placement, Power: pm, Cost: cm})
@@ -641,18 +633,17 @@ func driftPower(t *replicatree.Tree, steps int, drift func() int, pm replicatree
 			return fmt.Errorf("replicatool: drift step %d became infeasible", s)
 		}
 		st := dp.Stats()
-		power, scanned, repriced := upd.Power, st.RootCellsScanned, st.RootCellsRepriced
+		power, repriced := upd.Power, st.RootCellsRepriced
 		step := driftStep{
 			Step: s, Changed: changed,
 			Recomputed: st.Recomputed, Nodes: st.Nodes,
 			Servers: upd.Placement.Count(), Reused: upd.Placement.Reused(placement),
 			Cost: upd.Cost, Power: &power,
-			RootCellsScanned: &scanned, RootCellsRepriced: &repriced,
+			RootCellsRepriced: &repriced,
 		}
 		out.account(&step, st)
 		out.Steps = append(out.Steps, step)
 		totalRepriced += st.RootCellsRepriced
-		totalScanned += st.RootCellsScanned
 		placement, spare = upd.Placement, placement
 	}
 	return emit(out)

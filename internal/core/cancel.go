@@ -7,9 +7,9 @@ import "context"
 // installed via SetContext; the bottom-up passes poll it at coarse
 // checkpoints — between height waves on the parallel path, every
 // cancelStride node tables on the sequential one (every table for the
-// power DP), and between merge fold steps / scan blocks at the power
-// root — so a cancellation is observed within one checkpoint's worth of
-// work, never mid-table.
+// power DP), and at the power root between merge fold steps and once
+// per row of the root scan — so a cancellation is observed within one
+// checkpoint's worth of work, never mid-table.
 //
 // Aborting between checkpoints leaves the solver repairable, the same
 // contract as a mid-tree solve error: nothing is committed (neither the

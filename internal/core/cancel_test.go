@@ -125,8 +125,9 @@ func TestMinCostCancelMidDriftRepairable(t *testing.T) {
 }
 
 // TestPowerDPCancelRepairable aborts a PowerDP cold solve, a warm
-// drift solve, and a reprice-only solve (cost-model change hits the
-// root scan's block sweep, the third checkpoint family), checking the
+// drift solve, and a reprice-only solve (a cost-model change rebuilds
+// no table, so on the sequential path the abort lands in the root
+// scan's per-row polls, the third checkpoint family), checking the
 // front against an uninterrupted sequential twin after every recovery.
 // It runs sequentially and on the wave path, whose per-worker error
 // and cancellation plumbing it covers.
@@ -193,8 +194,8 @@ func testPowerDPCancelRepairable(t *testing.T, workers int) {
 	frontsEqual(t, "after warm abort", solB, solA)
 
 	// Reprice abort: clean tables, new cost model — the cancellation
-	// lands inside the root scan's block sweep and must leave the
-	// retained scan state invalid, not half-refreshed.
+	// lands inside the root scan, which must still return
+	// context.Canceled and leave nothing a later solve reads.
 	a.SetContext(cancelledCtx())
 	if _, err := a.Solve(prob(costs[1])); !errors.Is(err, context.Canceled) {
 		t.Fatalf("reprice abort returned %v", err)

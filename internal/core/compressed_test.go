@@ -116,8 +116,9 @@ func checkRunTables(t *testing.T, s *MinCostSolver, d *denseMinCost) {
 
 // densePower is the test-only dense reference of the power DP: every
 // fold step runs denseMergeOracle on dense tables and keeps its
-// provenance, the dense root table is priced by the root scan, and
-// placements are rebuilt from the dense provenance.
+// provenance, every cell of the dense root table is priced
+// (denseRootScan), and placements are rebuilt from the dense
+// provenance.
 type densePower struct {
 	t     *tree.Tree
 	prov  [][][]uint64 // per node, per fold step
@@ -126,8 +127,8 @@ type densePower struct {
 
 // solveDensePower solves prob densely. A PowerDP supplies what the
 // reference shares with the run solver and does not check: input
-// validation, the table shapes (functions of subtree counts) and the
-// root scan, which re-prices the dense root table from scratch.
+// validation, the table shapes (functions of subtree counts), the
+// per-field pricing weights and the eps merge of the final front.
 func solveDensePower(tr *tree.Tree, prob PowerProblem) (*densePower, error) {
 	d := NewPowerDP(tr)
 	// A solve the scan finds infeasible still commits its tables.
@@ -149,16 +150,55 @@ func solveDensePower(tr *tree.Tree, prob PowerProblem) (*densePower, error) {
 		}
 		vals[j], shapes[j] = acc, accSh
 	}
-	copy(d.rootVals, vals[tr.Root()])
-	d.scanOK = false
-	if err := d.scanRoot(); err != nil {
-		return nil, err
-	}
+	d.cands = denseRootScan(d, vals[tr.Root()], shapes[tr.Root()])
+	d.paretoPrune()
 	r.front = slices.Clone(d.front)
 	if len(r.front) == 0 {
 		return nil, ErrInfeasible
 	}
 	return r, nil
+}
+
+// denseRootScan prices every reached cell of the dense root table vals
+// (shape sh) with every root placement, each cell's price a plain dot
+// product in field order that skips zero coordinates, and returns the
+// exact Pareto front of the candidates. The run solver prices run
+// starts only; this scan checks that no other cell reaches the front.
+func denseRootScan(d *PowerDP, vals []int32, sh shape) []frontEntry {
+	mode0 := d.prob.Existing.Mode(d.t.Root())
+	coords := make([]int32, d.nf)
+	var front []frontEntry
+	for flat, v := range vals {
+		if v > d.wm {
+			continue
+		}
+		c, p := d.baseC, 0.0
+		rem := int32(flat)
+		for f := range coords {
+			coords[f] = rem / sh.strides[f]
+			rem %= sh.strides[f]
+			if coords[f] != 0 {
+				c += d.cw[f] * float64(coords[f])
+				p += d.pw[f] * float64(coords[f])
+			}
+		}
+		if v == 0 {
+			front = pushFront(front, frontEntry{cost: c, power: p, rootCell: int32(flat)})
+		}
+		if minMode, ok := d.prob.Power.ModeFor(int(v)); ok {
+			for m := minMode; m <= d.M; m++ {
+				f := d.fieldNew(m)
+				if mode0 != 0 {
+					f = d.fieldReuse(int(mode0), m)
+				}
+				front = pushFront(front, frontEntry{
+					cost: c + d.cw[f], power: p + d.pw[f],
+					rootCell: int32(flat), rootMode: uint8(m),
+				})
+			}
+		}
+	}
+	return front
 }
 
 // place rebuilds the placement of front entry f from the dense

@@ -78,8 +78,10 @@
 // server of capacity at most W_M or escapes as a reached value; past
 // it the row is unreached by pigeonhole. PowerDP therefore keeps every
 // table as run rows along n_M, one per combination of the other
-// fields, and folds every child with one run kernel; only the root's
-// final table is decoded dense, for the root scan. Decisions are
+// fields, and folds every child with one run kernel. The root scan
+// prices only the run starts of the root's rows: within a run every
+// later cell adds a mode-M server, which costs at least 1 more and
+// burns NodePower(M) > 0 more, so it is dominated. Decisions are
 // re-derived from the retained step tables in the dense scan's order,
 // and the same suite checks fronts and placements against a test-only
 // dense reference, while minpower_oracle_test.go checks every merge

@@ -134,19 +134,18 @@ func (d *dpDriver) SetWorkers(workers int) {
 // coarse checkpoints: between height waves (and the pool's chunk
 // claims) on the parallel path, every few node tables on the
 // sequential one, and — in PowerDP — between the merge fold steps of
-// the root and the blocks of the root scan. Once the context is
+// the root and once per row of the root scan. Once the context is
 // cancelled the in-flight solve stops within one checkpoint and
 // returns the context's error with nothing committed, so the solver
 // stays repairable (see cancel.go). A nil context — the default —
 // disables the checkpoints.
 func (d *dpDriver) SetContext(ctx context.Context) { d.cancel.set(ctx) }
 
-// Invalidate discards the validity of every cached subtree table (and
-// PowerDP's retained root-scan state), forcing the next solve to
-// recompute the whole tree like a cold solver. It is needed only after
-// out-of-band mutations the solver cannot observe: demand edits through
-// SetDemand/SetClientRequests and the per-solve inputs are detected
-// automatically.
+// Invalidate discards the validity of every cached subtree table,
+// forcing the next solve to recompute the whole tree like a cold
+// solver. It is needed only after out-of-band mutations the solver
+// cannot observe: demand edits through SetDemand/SetClientRequests and
+// the per-solve inputs are detected automatically.
 func (d *dpDriver) Invalidate() { d.solved = false }
 
 // Stats profiles the most recent completed solve: how many of the

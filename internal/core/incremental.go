@@ -73,18 +73,12 @@ type SolveStats struct {
 	// to Nodes on a cold (or invalidated) solve, the total size of the
 	// dirty ancestor chains on an incremental one, and 0 when nothing
 	// relevant changed since the previous solve. A partially re-merged
-	// power root (see RootCellsRepriced) counts as one recomputed node.
+	// power root (see RootMergeRetained) counts as one recomputed node.
 	Recomputed int
-	// RootCellsScanned and RootCellsRepriced profile PowerDP's
-	// incremental root scan (both stay 0 for MinCostSolver and
-	// QoSSolver). Scanned is the size of the root table the scan
-	// covered — 0 when the whole scan was skipped because neither the
-	// table nor the pricing context changed. Repriced counts the cells
-	// whose price candidates were actually recomputed: equal to Scanned
-	// on a cold scan (or after a cost-model change), and only the cells
-	// of root-table blocks whose values changed on an incremental
-	// re-solve — the rest reuse their retained block Pareto fronts.
-	RootCellsScanned  int
+	// RootCellsRepriced counts the root-table cells PowerDP's root scan
+	// priced: the starts of the root rows' runs, the only cells that
+	// can reach the front (see minpower_root.go). Every power solve
+	// prices them all; it stays 0 for MinCostSolver and QoSSolver.
 	RootCellsRepriced int
 	// RootMergeRetained counts the fold steps of PowerDP's root merge
 	// that were reused from the previous solve instead of re-merged:

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"replicatree/internal/cost"
@@ -57,11 +55,6 @@ type frontEntry struct {
 	rootCell int32
 	rootMode uint8 // 0 = no server on the root
 }
-
-// pUnreached marks the cells of a dense table (the decoded root table)
-// with no feasible solution. Valid entries are at most W_M, so any
-// value above wm is "unreached".
-const pUnreached = int32(math.MaxInt32)
 
 // noProv is the provenance of an unreached cell.
 const noProv = ^uint64(0)
@@ -146,8 +139,8 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 	}
 	// Detach the solution view from the throwaway PowerDP: the copy
 	// keeps only the front and the run tables reconstruction reads
-	// alive, letting the dense root table and the scan and merge
-	// scratch be collected while the caller holds the solver.
+	// alive, letting the scan and merge scratch be collected while the
+	// caller holds the solver.
 	detached := *sol
 	return &detached, nil
 }
@@ -157,8 +150,9 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // per-node buffers and merge scratch in per-worker arenas, all grown
 // monotonically to the high-water mark of past solves, so after a few
 // warm-up solves of an instance every further Solve performs no heap
-// allocation. Only the root's final table is also kept dense, for the
-// root scan.
+// allocation. No table is ever held dense: the root scan prices the
+// starts of the root table's runs, the only cells that can reach the
+// front, and keeps nothing between solves.
 //
 // The retained tables make solves incremental, mode-indexed shapes
 // included: demand edits through tree.Tree.SetDemand dirty the touched
@@ -167,11 +161,11 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // ancestor's count vector, which is exactly the set of tables the
 // chain covers), and a different power model invalidates everything.
 // The cost model never invalidates tables — only the root scan prices
-// it — so sweeping cost models re-solves in O(root-table) time. Use
-// Invalidate after mutations the solver cannot observe, and Reset to
-// rebind the solver to another tree while keeping its buffers. A failed
-// or cancelled solve invalidates every table, so the next solve
-// recomputes from scratch.
+// it — so sweeping cost models re-solves in time linear in the root
+// table's runs. Use Invalidate after mutations the solver cannot
+// observe, and Reset to rebind the solver to another tree while keeping
+// its buffers. A solve that fails or is cancelled before its root scan
+// invalidates every table, so the next solve recomputes from scratch.
 //
 // The PowerSolver a Solve returns aliases the solver's scratch: it is
 // invalidated by the next Solve (or Reset). A PowerDP is not safe for
@@ -197,34 +191,19 @@ type PowerDP struct {
 	lastMode  []uint8
 	lastPower power.Model
 
-	// Root-scan state (minpower_root.go): the dense root table, the
-	// previous solve's copy and per-block Pareto fronts for the
-	// incremental delta-priced scan, plus the pricing context those
-	// fronts were computed under.
-	rootVals       []int32
-	rootRecomputed bool
-	blocks         []rootBlock
-	prevRoot       []int32
-	prevDims       []int32
-	cw, pw         []float64 // per-field cost/power weights
-	baseC          float64   // count-independent cost term (deletions)
-	totalPre       []int
-	scanOK         bool
-	scanCost       cost.Modal
-	scanPower      power.Model
-	scanMode0      uint8
-	scanPre        []int
-	rootScanned    int
-	rootRepriced   int
-	// Scan walker scratch: cell coordinates and the per-field prefix
-	// sums of the cost/power dot products (cs[f+1] folds fields 0..f).
-	coords []int32
-	cs, ps []float64
+	// Root-scan pricing (minpower_root.go), rebuilt every solve.
+	cw, pw       []float64 // per-field cost/power weights
+	baseC        float64   // count-independent cost term (deletions)
+	totalPre     []int
+	rootRepriced int
+	// Row walker scratch of the scan: the root's dims with n_M held at
+	// one cell, and the walked cell's coordinates.
+	rowDims, coords []int32
 
 	// How many root fold steps the last solve reused.
 	rootRetained int
 
-	cands []frontEntry // root-scan candidates, high-water reused
+	cands []frontEntry // the root scan's exact front before the eps merge
 	front []frontEntry // pruned Pareto front, high-water reused
 	sol   PowerSolver
 }
@@ -263,11 +242,10 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 }
 
 // Stats profiles the most recent completed solve: how many of the
-// tree's node tables it actually recomputed, and how much of the root
-// scan it had to re-price (see SolveStats).
+// tree's node tables it actually recomputed, and how many root-table
+// run starts its scan priced (see SolveStats).
 func (d *PowerDP) Stats() SolveStats {
 	st := d.dpDriver.Stats()
-	st.RootCellsScanned = d.rootScanned
 	st.RootCellsRepriced = d.rootRepriced
 	st.RootMergeRetained = d.rootRetained
 	return st
@@ -325,11 +303,6 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 	}
 	d.unit.size = 1
 
-	// An invalidated solver (Reset, Invalidate, a failed solve) re-prices
-	// the root scan cold too.
-	if !d.solved {
-		d.scanOK = false
-	}
 	// Demands dirty their ancestor chain, a changed initial mode its
 	// parent's chain (see changed); a different power model reshapes
 	// every table. The cost model only prices the root scan below.
@@ -359,9 +332,7 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 
 	if err := d.scanRoot(); err != nil {
 		// Cancelled mid-scan: the subtree tables above were committed
-		// and stay exact, but some retained block fronts were already
-		// overwritten; scanOK is false, so the next solve re-prices the
-		// whole root table.
+		// and stay exact, and the next solve prices the root afresh.
 		return nil, err
 	}
 	if len(d.front) == 0 {
@@ -468,21 +439,13 @@ func (d *PowerDP) childDims(ch int, accNew int32, accPre []int32, ar *arena[int3
 	return outNew, outPre, outShape, err
 }
 
-// paretoPrune keeps the non-dominated candidates of d.cands in d.front,
-// sorted by ascending cost with strictly descending power. Costs within
-// frontEps are treated as equal so that floating-point jitter in summed
-// prices does not produce near-duplicate front points. Of candidates
-// tied in cost and power the first by frontBefore wins, as in pushFront.
+// paretoPrune copies the exact front d.cands (pushFront's order:
+// ascending cost, strictly descending power) into d.front, merging
+// points whose costs lie within frontEps so that floating-point jitter
+// in summed prices does not produce near-duplicate front points.
 func (d *PowerDP) paretoPrune() {
 	const frontEps = 1e-9
 	front := d.front[:0]
-	if len(d.cands) == 0 {
-		d.front = front
-		return
-	}
-	slices.SortFunc(d.cands, func(a, b frontEntry) int {
-		return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(a.power, b.power), frontBefore(a, b))
-	})
 	bestPower := math.Inf(1)
 	for _, c := range d.cands {
 		if c.power >= bestPower-frontEps {

@@ -16,8 +16,7 @@ import "slices"
 // modes together use the subtree's non-pre nodes, so past it the row
 // is unreached by pigeonhole. Reuse digits use pre-existing nodes only
 // and leave the effective length alone. A row's last run claims its
-// value up to the effective length; decodeTable restores the
-// unreached tail.
+// value up to the effective length; the unreached tail is implicit.
 //
 // A merge folds every (acc row, child row) pair into the output row
 // at the sum of their digits:
@@ -89,31 +88,6 @@ func listRows(tab bpTable, sh shape, nM int, ow []int32, ar *arena[int32]) []int
 		o.next()
 	}
 	return list
-}
-
-// decodeTable expands the run table tab of shape sh into the dense
-// dst, filling every cell outside the rows' runs with pUnreached.
-func decodeTable(tab bpTable, sh shape, nM int, dst []int32, ar *arena[int32]) {
-	for i := range dst[:sh.size] {
-		dst[i] = pUnreached
-	}
-	L, S := sh.dims[nM], sh.strides[nM]
-	var o odometer
-	rowOdometer(&o, sh, nM, sh.strides, ar)
-	for r := int32(0); r < int32(sh.size)/L; r++ {
-		runs := tab.row(r)
-		eff := L - newDigits(o.coords, nM)
-		for p := range runs {
-			end := eff
-			if p+1 < len(runs) {
-				end = runs[p+1].start
-			}
-			for k := runs[p].start; k < end; k++ {
-				dst[o.out+k*S] = int32(runs[p].val)
-			}
-		}
-		o.next()
-	}
 }
 
 // merge runs fold step st of node j: it folds the final table of child

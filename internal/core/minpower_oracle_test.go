@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"replicatree/internal/cost"
@@ -9,6 +10,36 @@ import (
 	"replicatree/internal/rng"
 	"replicatree/internal/tree"
 )
+
+// pUnreached marks the cells of a dense table with no feasible
+// solution. Valid entries are at most W_M, so any value above wm is
+// "unreached".
+const pUnreached = int32(math.MaxInt32)
+
+// decodeTable expands the run table tab of shape sh into the dense
+// dst, filling every cell outside the rows' runs with pUnreached.
+func decodeTable(tab bpTable, sh shape, nM int, dst []int32, ar *arena[int32]) {
+	for i := range dst[:sh.size] {
+		dst[i] = pUnreached
+	}
+	L, S := sh.dims[nM], sh.strides[nM]
+	var o odometer
+	rowOdometer(&o, sh, nM, sh.strides, ar)
+	for r := int32(0); r < int32(sh.size)/L; r++ {
+		runs := tab.row(r)
+		eff := L - newDigits(o.coords, nM)
+		for p := range runs {
+			end := eff
+			if p+1 < len(runs) {
+				end = runs[p+1].start
+			}
+			for k := runs[p].start; k < end; k++ {
+				dst[o.out+k*S] = int32(runs[p].val)
+			}
+		}
+		o.next()
+	}
+}
 
 // denseMergeOracle is the straightforward dense power merge, the
 // reference of the run kernel: for every reached accumulated cell it

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -10,12 +11,11 @@ import (
 	"replicatree/internal/tree"
 )
 
-// These tests pin the incremental root-scan contract of PowerDP: the
-// delta-priced, block-sharded scan must return byte-for-byte the front
-// a cold solver computes, for any drift sequence, any worker count and
-// any mix of table edits with cost-model swaps — while provably
-// re-pricing only the root-table blocks whose cells changed
-// (SolveStats.RootCellsScanned / RootCellsRepriced).
+// These tests pin the root-scan contract of PowerDP: a warm solver's
+// scan must return byte-for-byte the front a cold solver computes, for
+// any drift sequence, any worker count and any mix of table edits with
+// cost-model swaps, while pricing only the starts of the root rows'
+// runs (SolveStats.RootCellsRepriced).
 
 // frontsEqual fails the test unless the two solvers expose identical
 // fronts and reconstruct identical placements at every point.
@@ -38,8 +38,8 @@ func frontsEqual(t *testing.T, label string, want, got *PowerSolver) {
 // TestRootScanIncrementalMatchesCold drives a warm PowerDP through
 // random drift steps interleaved with cost-model swaps (which leave
 // every subtree table valid and exercise the reprice-without-remerge
-// path) and no-op re-solves (the skip-scan path), checking the front
-// against a cold solve at every step.
+// path) and no-op re-solves (clean tables, same pricing, re-priced
+// anyway), checking the front against a cold solve at every step.
 func TestRootScanIncrementalMatchesCold(t *testing.T) {
 	pm := powerModel2()
 	costs := []cost.Modal{
@@ -62,7 +62,7 @@ func TestRootScanIncrementalMatchesCold(t *testing.T) {
 			case 1:
 				// Cost swap only: tables stay clean, the scan re-prices.
 			case 3:
-				// Nothing at all: the scan itself is skipped.
+				// Nothing at all: no table is rebuilt, the root re-priced.
 			}
 			prob := PowerProblem{Tree: tr, Existing: existing, Power: pm, Cost: costs[step%len(costs)]}
 			got, gotErr := dp.Solve(prob)
@@ -78,8 +78,8 @@ func TestRootScanIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
-// TestRootScanParallelDeterministic pins the block-sharded scan behind
-// the wave-parallel pass: the front and every reconstruction must be
+// TestRootScanParallelDeterministic pins the root scan behind the
+// wave-parallel pass: the front and every reconstruction must be
 // identical for any SetWorkers count, on cold solves and on incremental
 // re-solves alike (the short-suite race run covers the pool hand-offs).
 func TestRootScanParallelDeterministic(t *testing.T) {
@@ -128,12 +128,22 @@ func TestRootScanParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestRootCellsRepricedBounds pins the SolveStats contract of the
-// incremental scan on a seeded drift sequence: a cold solve prices the
-// whole root table, a no-op solve skips the scan, a cost-model swap
-// re-prices without recomputing any table, and drift steps re-price at
-// most what they scan — strictly less in aggregate, which is the
-// "drift reprices fewer root cells than a cold solve" acceptance bound.
+// rootRuns counts the runs of dp's root table, the cells its scan
+// prices, and returns the table's size next to it.
+func rootRuns(dp *PowerDP) (runs, size int) {
+	tab, sh := dp.final(dp.t.Root())
+	nM := dp.M - 1
+	for r := int32(0); r < int32(sh.size)/sh.dims[nM]; r++ {
+		runs += len(tab.row(r))
+	}
+	return runs, sh.size
+}
+
+// TestRootCellsRepricedBounds pins the SolveStats contract of the root
+// scan on a seeded drift sequence: every solve prices exactly the run
+// starts of the root table, strictly fewer than its cells; a no-op
+// solve and a cost-model swap rebuild no table and price the same run
+// starts as the cold solve.
 func TestRootCellsRepricedBounds(t *testing.T) {
 	src := rng.New(2026)
 	tr := tree.MustGenerate(tree.PowerConfig(50), src)
@@ -143,61 +153,35 @@ func TestRootCellsRepricedBounds(t *testing.T) {
 	}
 	dp := NewPowerDP(tr)
 	prob := PowerProblem{Tree: tr, Existing: existing, Power: powerModel2(), Cost: cost.UniformModal(2, 0.1, 0.01, 0.001)}
-
-	if _, err := dp.Solve(prob); err != nil {
-		t.Fatal(err)
-	}
-	cold := dp.Stats()
-	if cold.RootCellsScanned == 0 || cold.RootCellsRepriced != cold.RootCellsScanned {
-		t.Fatalf("cold solve: scanned %d, repriced %d; want a full scan",
-			cold.RootCellsScanned, cold.RootCellsRepriced)
-	}
-
-	// Nothing changed: the scan is skipped outright.
-	if _, err := dp.Solve(prob); err != nil {
-		t.Fatal(err)
-	}
-	if st := dp.Stats(); st.RootCellsScanned != 0 || st.RootCellsRepriced != 0 {
-		t.Fatalf("no-op solve: scanned %d, repriced %d; want 0, 0",
-			st.RootCellsScanned, st.RootCellsRepriced)
-	}
-
-	// A cost-model swap re-prices everything but recomputes no table.
-	swapped := prob
-	swapped.Cost = cost.UniformModal(2, 0.9, 0.2, 0.05)
-	if _, err := dp.Solve(swapped); err != nil {
-		t.Fatal(err)
-	}
-	if st := dp.Stats(); st.Recomputed != 0 ||
-		st.RootCellsScanned != cold.RootCellsScanned || st.RootCellsRepriced != cold.RootCellsScanned {
-		t.Fatalf("cost swap: recomputed %d, scanned %d, repriced %d; want 0, %d, %d",
-			st.Recomputed, st.RootCellsScanned, st.RootCellsRepriced,
-			cold.RootCellsScanned, cold.RootCellsScanned)
-	}
-	if _, err := dp.Solve(prob); err != nil { // swap back
-		t.Fatal(err)
-	}
-
-	// Drift steps: never re-price beyond the scan, and strictly less
-	// than a cold scan in aggregate (the diff reuses unchanged blocks).
-	totalRepriced, steps := 0, 12
-	for trial := 0; trial < steps; trial++ {
-		driftClients(tr, 1, src)
-		if _, err := dp.Solve(prob); err != nil {
+	solve := func(label string, p PowerProblem) SolveStats {
+		t.Helper()
+		if _, err := dp.Solve(p); err != nil {
 			t.Fatal(err)
 		}
 		st := dp.Stats()
-		if st.RootCellsScanned != cold.RootCellsScanned {
-			t.Fatalf("trial %d: scanned %d, want %d", trial, st.RootCellsScanned, cold.RootCellsScanned)
+		runs, size := rootRuns(dp)
+		if st.RootCellsRepriced != runs || runs == 0 || runs >= size {
+			t.Fatalf("%s: repriced %d; want the %d run starts, below the %d cells", label, st.RootCellsRepriced, runs, size)
 		}
-		if st.RootCellsRepriced > st.RootCellsScanned {
-			t.Fatalf("trial %d: repriced %d > scanned %d", trial, st.RootCellsRepriced, st.RootCellsScanned)
-		}
-		totalRepriced += st.RootCellsRepriced
+		return st
 	}
-	if totalRepriced >= steps*cold.RootCellsScanned {
-		t.Fatalf("drift sequence repriced %d cells over %d steps; want < %d (some block reuse)",
-			totalRepriced, steps, steps*cold.RootCellsScanned)
+
+	cold := solve("cold solve", prob)
+	// Nothing changed, and a cost-model swap: no table is rebuilt, and
+	// the same run starts are priced again.
+	swapped := prob
+	swapped.Cost = cost.UniformModal(2, 0.9, 0.2, 0.05)
+	for _, c := range []struct {
+		label string
+		p     PowerProblem
+	}{{"no-op", prob}, {"cost swap", swapped}, {"swap back", prob}} {
+		if st := solve(c.label, c.p); st.Recomputed != 0 || st.RootCellsRepriced != cold.RootCellsRepriced {
+			t.Fatalf("%s: recomputed %d, repriced %d; want 0, %d", c.label, st.Recomputed, st.RootCellsRepriced, cold.RootCellsRepriced)
+		}
+	}
+	for trial := 0; trial < 12; trial++ {
+		driftClients(tr, 1, src)
+		solve(fmt.Sprintf("drift %d", trial), prob)
 	}
 }
 
@@ -293,9 +277,9 @@ func TestFrontIntoMatchesFront(t *testing.T) {
 	}
 }
 
-// TestRootScanSkipsAfterReset guards the rebind path: a Reset must drop
-// the retained scan context, so the first solve on the new tree cannot
-// reuse fronts priced for the old one even when shapes coincide.
+// TestRootScanSkipsAfterReset guards the rebind path: the first solve
+// after a Reset must price the new tree's root table, never answer with
+// a front left from the old tree, even when shapes coincide.
 func TestRootScanSkipsAfterReset(t *testing.T) {
 	pm := powerModel2()
 	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
