@@ -150,7 +150,7 @@ func solveDensePower(tr *tree.Tree, prob PowerProblem) (*densePower, error) {
 		}
 		vals[j], shapes[j] = acc, accSh
 	}
-	d.cands = denseRootScan(d, vals[tr.Root()], shapes[tr.Root()])
+	d.front = denseRootScan(d, vals[tr.Root()], shapes[tr.Root()])
 	d.paretoPrune()
 	r.front = slices.Clone(d.front)
 	if len(r.front) == 0 {

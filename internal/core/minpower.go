@@ -203,8 +203,7 @@ type PowerDP struct {
 	// How many root fold steps the last solve reused.
 	rootRetained int
 
-	cands []frontEntry // the root scan's exact front before the eps merge
-	front []frontEntry // pruned Pareto front, high-water reused
+	front []frontEntry // the root scan's Pareto front, high-water reused
 	sol   PowerSolver
 }
 
@@ -439,15 +438,15 @@ func (d *PowerDP) childDims(ch int, accNew int32, accPre []int32, ar *arena[int3
 	return outNew, outPre, outShape, err
 }
 
-// paretoPrune copies the exact front d.cands (pushFront's order:
-// ascending cost, strictly descending power) into d.front, merging
-// points whose costs lie within frontEps so that floating-point jitter
-// in summed prices does not produce near-duplicate front points.
+// paretoPrune merges, in place, the points of the exact front d.front
+// (pushFront's order: ascending cost, strictly descending power) whose
+// costs lie within frontEps, so that floating-point jitter in summed
+// prices does not produce near-duplicate front points.
 func (d *PowerDP) paretoPrune() {
 	const frontEps = 1e-9
 	front := d.front[:0]
 	bestPower := math.Inf(1)
-	for _, c := range d.cands {
+	for _, c := range d.front {
 		if c.power >= bestPower-frontEps {
 			continue
 		}

@@ -123,11 +123,11 @@ func (d *PowerDP) scanRoot() error {
 	o.init(d.rowDims, sh.strides, d.coords)
 
 	pm := d.prob.Power
-	front := d.cands[:0]
+	front := d.front[:0]
 	priced := 0
 	for row := int32(0); row < int32(sh.size)/sh.dims[nM]; row++ {
 		if err := d.cancel.err(); err != nil {
-			d.cands = front
+			d.front = front
 			return err
 		}
 		for _, run := range tab.row(row) {
@@ -154,7 +154,7 @@ func (d *PowerDP) scanRoot() error {
 		o.coords[nM] = 0
 		o.next()
 	}
-	d.cands = front
+	d.front = front
 	d.paretoPrune()
 	d.rootRepriced = priced
 	return nil
